@@ -35,7 +35,7 @@
 //   --ci=H         target Wilson 95% half-width on the success fraction
 //   --budget=N     per-cell trial cap
 //   --min-trials=N floor before the stopping rule may fire
-//   --batch=N      trials executed (and journaled) per round
+//   --batch=N      committed trials per journal append
 //   --fixed        fixed budget (spec trials per cell; no early stopping)
 //   --trials=N     override the fixed budget (implies nothing about --fixed)
 //   --rates=a,b,c  override the fault-rate axis

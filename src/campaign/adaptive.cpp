@@ -1,5 +1,6 @@
 #include "campaign/adaptive.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -30,6 +31,20 @@ void CellController::Record(bool success) {
   } else if (trials_ >= config_.max_trials) {
     done_ = true;
   }
+}
+
+int CellController::horizon() const {
+  for (int n = std::max(trials_ + 1, config_.min_trials); n < config_.max_trials; ++n) {
+    // The half-width is unimodal in the success count (largest near n/2),
+    // so over the reachable range [successes_, successes_ + n - trials_]
+    // it is smallest at one of the two ends.
+    const int most = successes_ + (n - trials_);
+    if (WilsonHalfWidth(successes_, n) <= config_.ci_half_width ||
+        WilsonHalfWidth(most, n) <= config_.ci_half_width) {
+      return n;
+    }
+  }
+  return config_.max_trials;
 }
 
 }  // namespace robustify::campaign

@@ -11,12 +11,13 @@
 //
 // Determinism contract: the stopping point is a pure function of the
 // outcome sequence in trial-index order, and trial t of a cell always runs
-// with seed base_seed + t (harness::RunSingleTrial).  Batch size and thread
-// count only decide how much speculative work is in flight when the rule
-// fires — trials past the stopping point are discarded, never tallied — so
-// a cell's accepted outcome set is bit-identical for every execution
-// schedule, and an adaptive cell is always an exact prefix of the fixed
-// sweep at the same seed.
+// with seed base_seed + t (harness::RunSingleTrial).  The runner issues a
+// trial only once it is certain to be needed — every trial below the
+// cell's horizon() — so no execution schedule ever runs a trial past the
+// stopping point: the executed set, and with it every accepted tally and
+// injector counter, is bit-identical for any thread count or batch size,
+// and an adaptive cell is always an exact prefix of the fixed sweep at the
+// same seed.
 #pragma once
 
 namespace robustify::campaign {
@@ -47,6 +48,14 @@ class CellController {
   bool settled() const { return settled_; }
 
   void Record(bool success);
+
+  // The smallest trial count n > trials() at which the rule could fire for
+  // *some* outcomes of trials trials()..n-1: the first n >= min_trials
+  // where a reachable success count meets the CI target, else max_trials.
+  // Trials below the horizon are certain to run whatever they return; the
+  // horizon only grows as outcomes are recorded.  Must not be called once
+  // done().
+  int horizon() const;
 
  private:
   AdaptiveConfig config_;

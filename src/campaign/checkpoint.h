@@ -7,11 +7,12 @@
 // reproduce the uninterrupted run's CSV byte for byte), and the exact
 // uint64 flop/fault counters.
 //
-// Workers append whole batches under one lock with a flush per batch, so a
-// SIGKILL can lose at most the batches in flight and can tear at most the
-// final line.  Load() therefore accepts a truncated tail: the first
-// malformed line and everything after it are dropped (they can only be the
-// torn end of the final write).  Trials past a cell's deterministic
+// The campaign scheduler appends each cell's committed trials in trial
+// order, a whole batch per locked write + flush, so a SIGKILL can lose at
+// most each cell's unflushed batch and can tear at most the final line.
+// Load() therefore accepts a truncated tail: the first malformed line and
+// everything after it are dropped (they can only be the torn end of the
+// final write).  Trials past a cell's deterministic
 // stopping point are never journaled, so replaying a journal rebuilds
 // exactly the accepted-outcome prefix of every cell.
 #pragma once

@@ -1,7 +1,12 @@
 #include "campaign/runner.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -74,6 +79,166 @@ CampaignResult BuildResult(const CampaignSpec& spec, const Scenario& scenario,
   return result;
 }
 
+// Per-cell telemetry, from the same controller state that feeds the result
+// (counter totals are schedule independent: trials never run past the
+// stopping point, so every schedule executes the same trial set).
+void FinishCell(const CellController& controller, int replayed, CellStats* stats) {
+  stats->trials = controller.trials();
+  stats->settled = controller.settled();
+  telemetry::Count(telemetry::Counter::kCampaignCells);
+  if (controller.settled()) {
+    telemetry::Count(telemetry::Counter::kCampaignCellsSettled);
+  }
+  telemetry::Count(telemetry::Counter::kCampaignTrials,
+                   static_cast<std::uint64_t>(controller.trials()));
+  telemetry::Count(telemetry::Counter::kCampaignTrialsResumed,
+                   static_cast<std::uint64_t>(replayed));
+  telemetry::Observe(telemetry::Histogram::kCampaignTrialsToStop,
+                     static_cast<std::uint64_t>(controller.trials()));
+  const double half_width =
+      WilsonHalfWidth(controller.successes(), controller.trials());
+  telemetry::Observe(telemetry::Histogram::kCampaignStopHalfWidthPpm,
+                     static_cast<std::uint64_t>(half_width * 1e6));
+}
+
+// One unfinished cell.  env/fn/series/rate are fixed before the workers
+// start; everything else is guarded by TrialScheduler::mu_.
+struct CellTask {
+  int series = 0;
+  int rate = 0;
+  core::FaultEnvironment env;
+  const harness::TrialFn* fn = nullptr;
+  CellController controller{AdaptiveConfig{}};
+  int replayed = 0;  // trials taken from the journal
+  int issued = 0;    // trials handed out: committed + in flight + buffered
+  int horizon = 0;   // trials certain to be needed: controller.horizon()
+  // Outcomes of trials [controller.trials(), issued); empty slots are still
+  // running.  The front commits as soon as it is filled.
+  std::deque<std::optional<harness::TrialOutcome>> window;
+  std::vector<TrialRecord> unjournaled;  // committed, short of a batch
+  std::vector<harness::TrialOutcome>* accepted = nullptr;
+  CellStats* stats = nullptr;
+};
+
+// Trial-granular executor: workers claim (cell, trial) tasks from one
+// locked queue, but only trials below a cell's horizon, which the stopping
+// rule needs whatever they return.  Outcomes commit through the controller
+// strictly in trial order, so nothing past a stopping point ever runs and
+// every schedule produces the same accepted sets and the same journal
+// contents per cell.
+class TrialScheduler {
+ public:
+  TrialScheduler(std::vector<CellTask> tasks, CampaignJournal* journal, int batch)
+      : tasks_(std::move(tasks)),
+        journal_(journal),
+        batch_(static_cast<std::size_t>(batch)),
+        open_cells_(static_cast<int>(tasks_.size())) {}
+
+  // With one worker the single loop runs every claimed trial to commit
+  // before claiming the next.  Rethrows the first trial or journal error
+  // once every worker has stopped.
+  void Run(int threads) {
+    const int workers = harness::ResolveThreadCount(threads);
+    harness::ParallelFor(workers, workers, [this](int) { WorkerLoop(); });
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  // Fewest trials issued first, ties to the lowest cell index: open cells
+  // advance together, so a deep transition cell is never left to run alone
+  // at the end.
+  CellTask* Claim() {
+    CellTask* best = nullptr;
+    for (CellTask& task : tasks_) {
+      if (task.controller.done() || task.issued >= task.horizon) continue;
+      if (best == nullptr || task.issued < best->issued) best = &task;
+    }
+    return best;
+  }
+
+  void WorkerLoop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      CellTask* task = Claim();
+      if (task == nullptr && !error_ && open_cells_ > 0) {
+        // Every certain trial is in flight: park until a commit moves a
+        // horizon, closes a cell, or a worker fails.
+        telemetry::SpanScope wait_span("sched.wait");
+        changed_.wait(lock, [&] {
+          return error_ || open_cells_ == 0 || (task = Claim()) != nullptr;
+        });
+      }
+      if (error_ || task == nullptr) return;
+      const int trial = task->issued++;
+      task->window.emplace_back();
+      lock.unlock();
+      try {
+        harness::TrialOutcome out = harness::RunSingleTrial(*task->fn, task->env, trial);
+        lock.lock();
+        if (!error_) Complete(*task, trial, std::move(out));
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
+        if (!error_) error_ = std::current_exception();
+        changed_.notify_all();
+      }
+    }
+  }
+
+  // Buffers trial `trial`'s outcome and commits the filled front of the
+  // window.  Called with mu_ held.
+  void Complete(CellTask& task, int trial, harness::TrialOutcome out) {
+    CellController& controller = task.controller;
+    task.window[static_cast<std::size_t>(trial - controller.trials())] = std::move(out);
+    int committed = 0;
+    while (!task.window.empty() && task.window.front() && !controller.done()) {
+      const harness::TrialOutcome& next = *task.window.front();
+      task.unjournaled.push_back(
+          ToRecord(next, task.series, task.rate, controller.trials()));
+      controller.Record(next.success);
+      task.accepted->push_back(next);
+      task.window.pop_front();
+      ++committed;
+    }
+    if (committed == 0) return;  // an earlier trial is still running
+    if (controller.done() && !task.window.empty()) {
+      throw std::logic_error("campaign trial issued past its cell's stopping point");
+    }
+    for (int i = 0; i < committed; ++i) telemetry::ProgressUnitDone(1);
+    if (journal_ != nullptr) Journal(task);
+    if (controller.done()) {
+      FinishCell(controller, task.replayed, task.stats);
+      --open_cells_;
+    } else {
+      task.horizon = controller.horizon();
+    }
+    changed_.notify_all();
+  }
+
+  // Appends the cell's committed records in whole batches, plus the
+  // remainder once the cell stops: committing T trials of a cell always
+  // takes ceil(T / batch) appends, whatever the schedule.  Called with mu_
+  // held, so each cell's records reach the journal in trial order.
+  void Journal(CellTask& task) {
+    std::vector<TrialRecord>& pending = task.unjournaled;
+    std::size_t flushed = 0;
+    while (pending.size() - flushed >= batch_ ||
+           (task.controller.done() && flushed < pending.size())) {
+      const std::size_t count = std::min(batch_, pending.size() - flushed);
+      journal_->Append(pending.data() + flushed, count);
+      flushed += count;
+    }
+    pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(flushed));
+  }
+
+  std::vector<CellTask> tasks_;
+  CampaignJournal* journal_;
+  const std::size_t batch_;
+  std::mutex mu_;
+  std::condition_variable changed_;
+  int open_cells_;
+  std::exception_ptr error_;
+};
+
 }  // namespace
 
 AdaptiveConfig SpecAdaptiveConfig(const CampaignSpec& spec, bool adaptive) {
@@ -145,7 +310,6 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
   const int series_count = static_cast<int>(scenario.series.size());
   const int rate_count = static_cast<int>(spec.fault_rates.size());
   const int cell_count = series_count * rate_count;
-  const int batch = std::max(1, spec.batch);
 
   if (spec.shard_count < 1 || spec.shard_index < 0 ||
       spec.shard_index >= spec.shard_count) {
@@ -163,8 +327,9 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
 
   const AdaptiveConfig adaptive = SpecAdaptiveConfig(spec, options.adaptive);
 
-  // Per-cell accepted outcomes, in trial order.  Workers write disjoint
-  // cells; the reduction below reads them serially in cell order.
+  // Per-cell accepted outcomes, in trial order, appended only by commits
+  // under the scheduler's lock; the reduction below reads them serially in
+  // cell order.
   std::vector<std::vector<harness::TrialOutcome>> accepted(
       static_cast<std::size_t>(cell_count));
   std::vector<CellStats> stats(static_cast<std::size_t>(cell_count));
@@ -186,9 +351,9 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
             "cannot resume: journal " + options.journal_path +
             " was written by a different campaign spec (fingerprint mismatch)");
       }
-      // Bucket records by cell; trials within a cell were journaled in
-      // order by a single worker, but sort defensively and drop anything
-      // out of contract (duplicate or out-of-range indices).
+      // Bucket records by cell; the journal holds each cell's trials in
+      // index order, and anything out of contract (duplicate or
+      // out-of-range indices) is dropped.
       for (const TrialRecord& r : loaded.records) {
         if (r.series < 0 || r.series >= series_count || r.rate < 0 ||
             r.rate >= rate_count) {
@@ -222,79 +387,50 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const Scenario& scenario,
     throw std::runtime_error("cannot resume without a journal path");
   }
 
-  // ---- the cell grid, dynamically claimed -----------------------------------
-  telemetry::ProgressBegin("campaign", owned_cells);
-  harness::ParallelFor(cell_count, options.threads, [&](int cell) {
-    if (!owns(cell)) return;  // another shard's cell — not even journaled
-    telemetry::SpanScope cell_span("cell");
-    const int s = cell / rate_count;
-    const int r = cell % rate_count;
-    std::vector<harness::TrialOutcome>& outcomes =
-        accepted[static_cast<std::size_t>(cell)];
-
-    CellController controller(adaptive);
+  // ---- replay, then schedule the unfinished cells ---------------------------
+  std::vector<CellTask> tasks;
+  long remaining_budget = 0;
+  for (int cell = 0; cell < cell_count; ++cell) {
+    if (!owns(cell)) continue;  // another shard's cell — not even journaled
+    const std::size_t c = static_cast<std::size_t>(cell);
+    CellTask task;
+    task.series = cell / rate_count;
+    task.rate = cell % rate_count;
+    task.controller = CellController(adaptive);
+    task.accepted = &accepted[c];
+    task.stats = &stats[c];
     // Replay journaled outcomes through the stopping rule.  A journal never
     // holds trials past the stopping point, but the rule is cheap — replay
     // guards against hand-edited journals and re-derives settled state.
+    std::vector<harness::TrialOutcome>& outcomes = accepted[c];
     std::size_t replayed = 0;
-    while (replayed < outcomes.size() && !controller.done()) {
-      controller.Record(outcomes[replayed].success);
+    while (replayed < outcomes.size() && !task.controller.done()) {
+      task.controller.Record(outcomes[replayed].success);
       ++replayed;
     }
     outcomes.resize(replayed);
-
-    core::FaultEnvironment env;
-    env.fault_rate = spec.fault_rates[static_cast<std::size_t>(r)];
-    env.seed = spec.base_seed;
-    env.bit_model = spec.bit_model;
-    env.model = spec.model;
-    env.guard = spec.guard;
-    const harness::TrialFn& fn = scenario.series[static_cast<std::size_t>(s)].fn;
-
-    std::vector<harness::TrialOutcome> round(static_cast<std::size_t>(batch));
-    std::vector<TrialRecord> journal_batch;
-    while (!controller.done()) {
-      const int base = controller.next_trial();
-      const int want = std::min(batch, adaptive.max_trials - base);
-      for (int i = 0; i < want; ++i) {
-        round[static_cast<std::size_t>(i)] = harness::RunSingleTrial(fn, env, base + i);
-      }
-      // Accept speculative outcomes in trial order up to the stopping
-      // point; anything past it is discarded so the accepted set never
-      // depends on the batch size.
-      journal_batch.clear();
-      for (int i = 0; i < want && !controller.done(); ++i) {
-        const harness::TrialOutcome& out = round[static_cast<std::size_t>(i)];
-        controller.Record(out.success);
-        outcomes.push_back(out);
-        journal_batch.push_back(ToRecord(out, s, r, base + i));
-      }
-      if (journal) journal->Append(journal_batch.data(), journal_batch.size());
+    task.replayed = static_cast<int>(replayed);
+    if (task.controller.done()) {
+      FinishCell(task.controller, task.replayed, task.stats);
+      continue;
     }
+    task.env.fault_rate = spec.fault_rates[static_cast<std::size_t>(task.rate)];
+    task.env.seed = spec.base_seed;
+    task.env.bit_model = spec.bit_model;
+    task.env.model = spec.model;
+    task.env.guard = spec.guard;
+    task.fn = &scenario.series[static_cast<std::size_t>(task.series)].fn;
+    task.issued = task.controller.trials();
+    task.horizon = task.controller.horizon();
+    remaining_budget += adaptive.max_trials - task.controller.trials();
+    tasks.push_back(std::move(task));
+  }
 
-    CellStats& cs = stats[static_cast<std::size_t>(cell)];
-    cs.trials = controller.trials();
-    cs.settled = controller.settled();
-
-    // Per-cell telemetry, from the same controller state that feeds the
-    // result (counter totals are thread-count independent by construction).
-    telemetry::Count(telemetry::Counter::kCampaignCells);
-    if (controller.settled()) {
-      telemetry::Count(telemetry::Counter::kCampaignCellsSettled);
-    }
-    telemetry::Count(telemetry::Counter::kCampaignTrials,
-                     static_cast<std::uint64_t>(controller.trials()));
-    telemetry::Count(telemetry::Counter::kCampaignTrialsResumed,
-                     static_cast<std::uint64_t>(replayed));
-    telemetry::Observe(telemetry::Histogram::kCampaignTrialsToStop,
-                       static_cast<std::uint64_t>(controller.trials()));
-    const double half_width =
-        WilsonHalfWidth(controller.successes(), controller.trials());
-    telemetry::Observe(telemetry::Histogram::kCampaignStopHalfWidthPpm,
-                       static_cast<std::uint64_t>(half_width * 1e6));
-    telemetry::ProgressUnitDone(controller.trials() -
-                                static_cast<int>(replayed));
-  });
+  // Progress units are committed trials against the remaining budget, so
+  // an adaptive campaign's ETA is an upper bound.
+  telemetry::ProgressBegin("campaign", remaining_budget);
+  TrialScheduler(std::move(tasks), journal.get(), std::max(1, spec.batch))
+      .Run(options.threads);
   telemetry::ProgressEnd();
 
   // ---- serial in-order reduction --------------------------------------------

@@ -1,14 +1,20 @@
-// Campaign execution: adaptive cells fanned across the harness thread pool.
+// Campaign execution: a trial-granular scheduler over the harness threads.
 //
-// The parallel unit is the *cell* — one (series, fault rate) point — not
-// the trial: cells have wildly unequal cost under adaptive allocation (a
-// saturated cell stops after a handful of trials, a transition cell runs to
-// its budget), which is exactly the skewed-load shape ParallelFor's dynamic
-// index claiming exists for.  Each cell runs its sequential controller
-// (campaign/adaptive.h) on one worker, journals accepted batches
-// (campaign/checkpoint.h), and the final reduction runs serially in cell
-// order — so campaign output is byte-identical for every thread count,
-// batch size, and kill/resume schedule.
+// The parallel unit is the *trial*.  Cells have wildly unequal cost under
+// adaptive allocation (a saturated cell stops after a handful of trials, a
+// transition cell runs to its budget), so one worker per cell would leave
+// the deep cells running alone at the end.  Instead every worker claims
+// (cell, trial) tasks from one locked queue — fewest trials issued first,
+// ties to the lowest cell index — but only trials below the cell's horizon
+// (CellController::horizon()), which the stopping rule needs whatever they
+// return.  Outcomes are buffered and committed through the controller
+// (campaign/adaptive.h) strictly in trial order and journaled in trial
+// order, in whole batches (campaign/checkpoint.h); the final reduction runs
+// serially in cell order — so no trial ever runs past a stopping point, and
+// campaign output, trial counts, journal appends and injector counters are
+// identical for every thread count and kill/resume schedule (output for
+// every batch size too).  A fixed grid
+// (min == max) is fully trial-parallel from the start.
 #pragma once
 
 #include <cstdint>

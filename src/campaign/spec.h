@@ -37,16 +37,14 @@ struct CampaignSpec {
   int fixed_trials = 10;
 
   // Adaptive mode: per-cell budget cap, floor before the stopping rule may
-  // fire, trials executed (and journaled) per round, and the target Wilson
-  // 95% half-width on the success fraction.  The stopping point of a cell
-  // is a pure function of its outcome sequence in trial order — never of
-  // batch size or thread count (campaign/adaptive.h).  batch > 1 runs
-  // speculative trials that are discarded if the rule fires mid-round
-  // (deterministic, but wasted wall time — a cell settling at 9 executes
-  // 16 under batch=8); since trials within a cell are serial on one worker
-  // and the stop check is trivially cheap, batch=1 is the default and
-  // larger batches exist for coarser journal flushing and the
-  // batch-invariance tests.
+  // fire, committed trials grouped into one journal append, and the
+  // target Wilson 95% half-width on the success fraction.  The stopping
+  // point of a cell is a pure function of its outcome sequence in trial
+  // order — never of batch size or thread count (campaign/adaptive.h).
+  // batch only groups journal appends (a cell's final records are appended
+  // when it stops, however few); it never causes a speculative trial — the
+  // scheduler runs exactly the trials the stopping rule needs.  A SIGKILL
+  // loses at most batch - 1 committed trials per cell, plus those running.
   int max_trials = 100;
   int min_trials = 4;
   int batch = 1;

@@ -1,13 +1,17 @@
-// Small thread pool + parallel-for for the sweep harness.
+// Small thread pool + parallel-for for the sweep harness, the campaign
+// scheduler and the tiled solvers.
 //
-// The Monte-Carlo grid of a fault-rate sweep — (trial fn, rate, repetition)
-// cells — is embarrassingly parallel: every cell builds its own inputs from
+// A trial is the unit of Monte-Carlo work: it builds its own inputs from
 // its own deterministic seed and runs on the thread-local FaultInjector, so
-// cells never share mutable state.  ParallelFor fans a cell index range
-// across a pool of workers pulling from one atomic counter (good load
-// balancing: cells at different fault rates cost different amounts), and
-// callers reduce the preallocated per-cell results serially in index order —
-// which is what makes sweep output byte-identical for any thread count.
+// trials never share mutable state.  ParallelFor fans an index range across
+// a pool of workers pulling from one atomic counter (good load balancing:
+// trials at different fault rates cost different amounts).  The fault-rate
+// sweep indexes its (series, rate, repetition) grid directly; the campaign
+// runner instead starts one long-lived scheduler loop per worker
+// (campaign/runner.cpp), because which trials exist depends on the
+// outcomes committed so far.  Either way callers reduce the per-trial
+// results serially in a fixed order — which is what makes output
+// byte-identical for any thread count.
 #pragma once
 
 #include <condition_variable>

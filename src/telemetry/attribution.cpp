@@ -14,7 +14,7 @@ namespace {
 
 constexpr const char* kAttrCategoryNames[kNumAttrCategories] = {
     "campaign",
-    "cell",
+    "sched.wait",
     "trial",
     "solve.sgd",
     "solve.cgls",
@@ -52,8 +52,8 @@ inline std::uint64_t NowNs() {
           .count());
 }
 
-// Span nesting in this repo is ~6 deep (campaign > cell > trial > solve >
-// phase); 64 leaves room for future layers.  Deeper entries are dropped —
+// Span nesting in this repo is ~4 deep (campaign > trial > solve > phase);
+// 64 leaves room for future layers.  Deeper entries are dropped —
 // the matching exits unwind the overflow counter, never the wrong frame.
 inline constexpr int kMaxDepth = 64;
 

@@ -14,10 +14,11 @@
 // sum of a span's children's totals can never exceed its own total
 // (tests/test_attribution.cpp holds both).  A campaign run therefore
 // decomposes into campaign self (scheduling + serial reduction), pool.wait
-// (the main thread parked on the worker pool), cell/trial self (injector +
-// controller machinery), solve.* self (kernel loops), phase, and
-// checkpoint.flush — per thread, with exited workers keeping their own
-// ledgers.
+// (the main thread parked on the worker pool), sched.wait (a worker parked
+// until the campaign scheduler has a trial it is certain to need), trial
+// self (injector + objective machinery), solve.* self (kernel loops),
+// phase, and checkpoint.flush — per thread, with exited workers keeping
+// their own ledgers.
 //
 // Determinism contract: identical to the rest of the telemetry layer — the
 // ledger observes steady-clock timestamps and touches nothing the
@@ -43,7 +44,7 @@ namespace robustify::telemetry {
 // degrades to an aggregated bucket instead of vanishing.
 enum class AttrCategory : int {
   kCampaign,
-  kCell,
+  kSchedWait,
   kTrial,
   kSolveSgd,
   kSolveCgls,

@@ -5,10 +5,11 @@
 //
 //   [progress] campaign: 12/35 cells, 480 trials, 123.4 trials/s, ETA 8.2s
 //
-// Units are the runner's parallel grain (grid trials for a sweep, cells for
-// a campaign); the ETA comes from an EWMA of per-unit completion intervals,
-// so wildly unequal adaptive cells converge onto a usable estimate instead
-// of whipsawing on each cheap saturated cell.  Heartbeats go only to
+// Units are trials: grid trials for a sweep, committed trials against the
+// remaining budget for a campaign (an upper bound when cells settle early).
+// The ETA comes from an EWMA of per-unit completion intervals, so trials of
+// wildly unequal cost converge onto a usable estimate instead of
+// whipsawing on each cheap one.  Heartbeats go only to
 // stderr and never touch results, CSVs, or the simulation RNG.  Disabled
 // (the default) the per-unit cost is one relaxed bool load.
 #pragma once

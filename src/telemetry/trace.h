@@ -5,12 +5,14 @@
 // Perfetto.  The span hierarchy mirrors the execution layers:
 //
 //   campaign            one RunCampaign invocation
-//     cell              one (series, fault-rate) adaptive cell
-//       trial           one RunSingleTrial (also under plain sweeps)
-//         solve.sgd     one MinimizeSgd descent
-//           phase       one phase-schedule segment
-//         solve.cgls    one restarted-CGLS solve
-//       checkpoint.flush one journal batch append
+//     pool.wait         the calling thread parked on the worker pool
+//     reduce            the serial in-order reduction
+//   trial               one RunSingleTrial (campaign worker or sweep)
+//     solve.sgd         one MinimizeSgd descent
+//       phase           one phase-schedule segment
+//     solve.cgls        one restarted-CGLS solve
+//   sched.wait          a campaign worker parked with no trial to claim
+//   checkpoint.flush    one journal append of committed trials
 //   sweep               one RunFaultRateSweep grid
 //
 // plus sampled "fault" instant events: every Nth injected fault per thread

@@ -146,14 +146,14 @@ TEST(Attribution, SelfTotalHierarchyOnNestedSpans) {
   {
     telemetry::SpanScope campaign("campaign");
     for (int i = 0; i < 2; ++i) {
-      telemetry::SpanScope cell("cell");
-      telemetry::SpanScope trial("trial");  // nested distinct categories
+      telemetry::SpanScope trial("trial");
+      telemetry::SpanScope solve("solve.sgd");  // nested distinct categories
       volatile double x = 1.0;
       for (int k = 0; k < 50000; ++k) x = x * 1.0000001 + 1e-9;
     }
     {
-      telemetry::SpanScope outer("cell");
-      telemetry::SpanScope inner("cell");  // recursion: outermost only
+      telemetry::SpanScope outer("trial");
+      telemetry::SpanScope inner("trial");  // recursion: outermost only
     }
   }
   telemetry::SetAttributionEnabled(false);
@@ -162,19 +162,19 @@ TEST(Attribution, SelfTotalHierarchyOnNestedSpans) {
 
   const telemetry::AttrTotals& campaign =
       snapshot.total(telemetry::AttrCategory::kCampaign);
-  const telemetry::AttrTotals& cell =
-      snapshot.total(telemetry::AttrCategory::kCell);
   const telemetry::AttrTotals& trial =
       snapshot.total(telemetry::AttrCategory::kTrial);
+  const telemetry::AttrTotals& solve =
+      snapshot.total(telemetry::AttrCategory::kSolveSgd);
 
   EXPECT_EQ(campaign.count, 1u);
-  EXPECT_EQ(cell.count, 3u);  // two loop cells + one outermost recursive cell
-  EXPECT_EQ(trial.count, 2u);
+  EXPECT_EQ(trial.count, 3u);  // two loop trials + one outermost recursive trial
+  EXPECT_EQ(solve.count, 2u);
   EXPECT_GT(campaign.total_ns, 0u);
 
   // Child totals fit inside the parent; self <= total everywhere.
-  EXPECT_LE(cell.total_ns, campaign.total_ns);
-  EXPECT_LE(trial.total_ns, cell.total_ns);
+  EXPECT_LE(trial.total_ns, campaign.total_ns);
+  EXPECT_LE(solve.total_ns, trial.total_ns);
   for (int c = 0; c < telemetry::kNumAttrCategories; ++c) {
     EXPECT_LE(snapshot.merged[c].self_ns, snapshot.merged[c].total_ns);
   }
@@ -188,9 +188,10 @@ TEST(Attribution, SelfTotalHierarchyOnNestedSpans) {
 }
 
 // A real threaded campaign: per-thread ledgers each decompose exactly —
-// the thread's self times sum to its root category's total (campaign on
-// the submitting thread, cell on the workers), which is the strong form of
-// "child self-times sum to <= parent total".
+// the thread's self times sum to its root categories' totals (campaign on
+// the submitting thread; trial, sched.wait and checkpoint.flush side by
+// side on the workers), which is the strong form of "child self-times sum
+// to <= parent total".
 TEST(Attribution, CampaignDecomposesPerThread) {
   telemetry::ResetAttribution();
   telemetry::SetAttributionEnabled(true);
@@ -201,24 +202,27 @@ TEST(Attribution, CampaignDecomposesPerThread) {
 
   ASSERT_FALSE(snapshot.threads.empty());
   EXPECT_EQ(snapshot.total(telemetry::AttrCategory::kCampaign).count, 1u);
-  EXPECT_GT(snapshot.total(telemetry::AttrCategory::kCell).count, 0u);
   EXPECT_GT(snapshot.total(telemetry::AttrCategory::kTrial).count, 0u);
+  const auto total_ns = [](const auto& ledger, telemetry::AttrCategory c) {
+    return ledger.totals[static_cast<int>(c)].total_ns;
+  };
 
   for (const auto& ledger : snapshot.threads) {
     std::uint64_t self_sum = 0;
-    std::uint64_t root_total = 0;
     for (int c = 0; c < telemetry::kNumAttrCategories; ++c) {
       EXPECT_LE(ledger.totals[c].self_ns, ledger.totals[c].total_ns)
           << "tid " << ledger.tid << " category "
           << telemetry::AttrCategoryName(
                  static_cast<telemetry::AttrCategory>(c));
       self_sum += ledger.totals[c].self_ns;
-      // The thread's root category is the one whose spans enclose all its
-      // others; its total is the per-thread maximum.
-      if (ledger.totals[c].total_ns > root_total) {
-        root_total = ledger.totals[c].total_ns;
-      }
     }
+    const bool submitter =
+        ledger.totals[static_cast<int>(telemetry::AttrCategory::kCampaign)].count > 0;
+    const std::uint64_t root_total =
+        submitter ? total_ns(ledger, telemetry::AttrCategory::kCampaign)
+                  : total_ns(ledger, telemetry::AttrCategory::kTrial) +
+                        total_ns(ledger, telemetry::AttrCategory::kSchedWait) +
+                        total_ns(ledger, telemetry::AttrCategory::kCheckpointFlush);
     EXPECT_EQ(self_sum, root_total) << "tid " << ledger.tid;
   }
 

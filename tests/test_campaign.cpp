@@ -1,15 +1,21 @@
-// Campaign subsystem: spec parsing/registry, the Wilson stopping rule, the
-// adaptive runner's determinism contract (thread-count, batch-size, and
-// kill/resume invariance, byte-for-byte), and the golden adaptive-vs-fixed
-// comparison on the real figure scenarios.
+// Campaign subsystem: spec parsing/registry, the Wilson stopping rule and
+// its horizon, the trial scheduler's determinism contract (thread-count,
+// batch-size, shard, and kill/resume invariance, byte-for-byte, with zero
+// speculative trials), and the golden adaptive-vs-fixed comparison on the
+// real figure scenarios.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/adaptive.h"
@@ -19,6 +25,7 @@
 #include "campaign/spec.h"
 #include "harness/csv.h"
 #include "harness/trial.h"
+#include "telemetry/telemetry.h"
 
 namespace {
 
@@ -54,7 +61,7 @@ TEST(CampaignSpec, FormatParseRoundTrip) {
   EXPECT_EQ(campaign::SpecFingerprint(parsed), campaign::SpecFingerprint(spec));
 }
 
-// Batch size schedules speculation only — accepted tallies are invariant
+// Batch size only groups journal appends — accepted tallies are invariant
 // to it (CsvByteIdenticalAcrossThreadsAndBatches) — so a journal written
 // under one batch size must resume under another.
 TEST(CampaignSpec, FingerprintIgnoresBatch) {
@@ -255,6 +262,77 @@ TEST(CellController, RespectsFloorAndBudget) {
   EXPECT_FALSE(cap_ctl.settled());
 }
 
+// The horizon is exact: from every reachable prefix, no outcome sequence
+// stops the cell before it, and some outcome sequence stops exactly at it.
+// Checked by DP over the reachable (trials, successes) states — controllers
+// at one trial count are deduplicated by their success count.
+void ExpectHorizonExact(const campaign::AdaptiveConfig& config) {
+  const auto add_unique = [](std::vector<campaign::CellController>* layer,
+                             const campaign::CellController& c) {
+    for (const campaign::CellController& seen : *layer) {
+      if (seen.successes() == c.successes()) return;
+    }
+    layer->push_back(c);
+  };
+  std::vector<campaign::CellController> layer = {campaign::CellController(config)};
+  while (!layer.empty()) {
+    std::vector<campaign::CellController> next;
+    for (const campaign::CellController& prefix : layer) {
+      const int horizon = prefix.horizon();
+      const std::string where = "min " + std::to_string(config.min_trials) +
+                                " max " + std::to_string(config.max_trials) +
+                                " ci " + std::to_string(config.ci_half_width) +
+                                " prefix (" + std::to_string(prefix.trials()) +
+                                ", " + std::to_string(prefix.successes()) + ")";
+      ASSERT_GT(horizon, prefix.trials()) << where;
+      bool stops_at_horizon = false;
+      std::vector<campaign::CellController> frontier = {prefix};
+      for (int n = prefix.trials() + 1; n <= horizon; ++n) {
+        std::vector<campaign::CellController> live;
+        for (const campaign::CellController& f : frontier) {
+          for (const bool success : {false, true}) {
+            campaign::CellController c = f;
+            c.Record(success);
+            if (!c.done()) {
+              add_unique(&live, c);
+            } else if (n < horizon) {
+              ADD_FAILURE() << where << " stops at " << n << " before horizon "
+                            << horizon;
+              return;
+            } else {
+              stops_at_horizon = true;
+            }
+          }
+        }
+        frontier = std::move(live);
+      }
+      EXPECT_TRUE(stops_at_horizon) << where << " horizon " << horizon;
+      for (const bool success : {false, true}) {
+        campaign::CellController c = prefix;
+        c.Record(success);
+        if (c.done()) continue;
+        EXPECT_GE(c.horizon(), horizon) << where << ": the horizon shrank";
+        add_unique(&next, c);
+      }
+    }
+    layer = std::move(next);
+  }
+}
+
+TEST(CellController, HorizonIsExact) {
+  for (const int min_trials : {1, 4, 9}) {
+    for (const int max_trials : {9, 12, 40}) {
+      for (const double ci : {0.0, 0.08, 0.15, 0.2, 0.3, 0.6}) {
+        campaign::AdaptiveConfig config;
+        config.min_trials = min_trials;
+        config.max_trials = max_trials;
+        config.ci_half_width = ci;
+        ExpectHorizonExact(config);
+      }
+    }
+  }
+}
+
 // ---- the runner: determinism contract ---------------------------------------
 
 // A cheap deterministic stand-in for a real kernel: outcome is a pure
@@ -303,15 +381,20 @@ campaign::Scenario SyntheticScenario() {
   return scenario;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 std::string CampaignCsvBytes(const campaign::CampaignResult& result,
                              const std::string& tag) {
   const std::string path = ::testing::TempDir() + "/robustify_campaign_" + tag + ".csv";
   harness::WriteSweepCsv(path, result.series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  const std::string bytes = ReadFile(path);
   std::remove(path.c_str());
-  return buffer.str();
+  return bytes;
 }
 
 // The adaptive run of a cell is an exact prefix of the fixed run: same
@@ -415,7 +498,9 @@ TEST(Campaign, ResumeFromTruncatedJournalIsByteIdentical) {
     EXPECT_EQ(CampaignCsvBytes(result, "resume" + std::to_string(keep)),
               uninterrupted)
         << "resumed from " << keep << " journal lines";
-    if (keep > 1) EXPECT_GT(result.resumed_trials, 0);
+    if (keep > 1) {
+      EXPECT_GT(result.resumed_trials, 0);
+    }
   }
   std::remove(journal.c_str());
 }
@@ -436,6 +521,208 @@ TEST(Campaign, ResumeRejectsMismatchedSpec) {
 
   options.journal_path = ::testing::TempDir() + "/robustify_absent.journal";
   EXPECT_THROW(campaign::RunCampaign(spec, scenario, options), std::runtime_error);
+  std::remove(journal.c_str());
+}
+
+// ---- the trial scheduler ------------------------------------------------------
+
+// Every cell's records in the journal must list trials 0, 1, 2, ... in
+// file order; returns the per-cell record counts, by grid index.
+std::vector<int> JournalCellCounts(const std::string& journal, int rate_count,
+                                   int cell_count) {
+  std::vector<int> next(static_cast<std::size_t>(cell_count), 0);
+  for (const campaign::TrialRecord& r : campaign::CampaignJournal::Load(journal).records) {
+    const std::size_t cell = static_cast<std::size_t>(r.series * rate_count + r.rate);
+    EXPECT_EQ(r.trial, next[cell]) << "cell " << cell << " journaled out of order";
+    next[cell] = r.trial + 1;
+  }
+  return next;
+}
+
+// Wraps every series' TrialFn so the test sees how many trials actually
+// ran — the scheduler must never run one the stopping rule discards.
+campaign::Scenario CountingScenario(const campaign::Scenario& base,
+                                    std::shared_ptr<std::atomic<long>> calls) {
+  campaign::Scenario scenario = base;
+  for (harness::NamedTrial& series : scenario.series) {
+    series.fn = [fn = series.fn, calls](const core::FaultEnvironment& env) {
+      calls->fetch_add(1);
+      return fn(env);
+    };
+  }
+  return scenario;
+}
+
+TEST(CampaignScheduler, ScheduleInvariantWithZeroSpeculation) {
+  campaign::CampaignSpec spec = SyntheticSpec();
+  const campaign::Scenario base = SyntheticScenario();
+  const std::string journal = ::testing::TempDir() + "/robustify_sched.journal";
+  for (const bool adaptive : {true, false}) {
+    for (const int shard : {0, 1}) {
+      spec.shard_index = shard;
+      spec.shard_count = shard + 1;  // 0/1 (every cell), 1/2 (odd cells)
+      std::string reference;
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        for (const int batch : {1, 8}) {
+          const std::string where = std::string(adaptive ? "adaptive" : "fixed") +
+                                    " shard " + std::to_string(shard) + " threads " +
+                                    std::to_string(threads) + " batch " +
+                                    std::to_string(batch);
+          spec.batch = batch;
+          auto calls = std::make_shared<std::atomic<long>>(0);
+          const campaign::Scenario scenario = CountingScenario(base, calls);
+          campaign::RunnerOptions options;
+          options.threads = threads;
+          options.adaptive = adaptive;
+          options.journal_path = journal;
+          const std::uint64_t flushes_before =
+              telemetry::SnapshotCounters().value(telemetry::Counter::kCheckpointFlushes);
+          const campaign::CampaignResult result =
+              campaign::RunCampaign(spec, scenario, options);
+          EXPECT_EQ(calls->load(), result.total_trials) << where;
+          // Journal appends come in whole batches per cell, so their count
+          // is schedule independent too: ceil(trials / batch) per cell.
+          if (telemetry::CountersEnabled()) {
+            std::uint64_t appends = 0;
+            for (const auto& row : result.cells) {
+              for (const campaign::CellStats& cell : row) {
+                appends += static_cast<std::uint64_t>((cell.trials + batch - 1) / batch);
+              }
+            }
+            EXPECT_EQ(telemetry::SnapshotCounters().value(
+                          telemetry::Counter::kCheckpointFlushes) -
+                          flushes_before,
+                      appends)
+                << where;
+          }
+
+          const std::string csv = CampaignCsvBytes(result, "sched");
+          const campaign::CampaignResult reduced = campaign::ReduceRecords(
+              spec, scenario, campaign::CampaignJournal::Load(journal).records,
+              adaptive);
+          EXPECT_EQ(CampaignCsvBytes(reduced, "sched_reduced"), csv) << where;
+          JournalCellCounts(journal, static_cast<int>(spec.fault_rates.size()),
+                            result.cell_count);
+          if (reference.empty()) reference = csv;
+          EXPECT_EQ(csv, reference) << where;
+        }
+      }
+    }
+  }
+  std::remove(journal.c_str());
+}
+
+// Trial k of every cell sleeps (K - k) ms and two cells share four
+// workers, so each cell has trials in flight together and the later ones
+// finish first.  Commits still go in trial order: the journal lists each
+// cell's trials by index, and a SIGKILL-style truncated journal resumes to
+// the uninterrupted CSV bytes.
+TEST(CampaignScheduler, OutOfOrderCompletionJournalsInTrialOrder) {
+  campaign::CampaignSpec spec = SyntheticSpec();
+  spec.fault_rates = {0.0, 0.3};
+  spec.fixed_trials = 10;
+  spec.max_trials = 10;
+  constexpr int kSlowest = 12;
+  campaign::Scenario scenario = SyntheticScenario();
+  scenario.series.resize(1);
+  for (harness::NamedTrial& series : scenario.series) {
+    series.fn = [fn = series.fn, base = spec.base_seed](const core::FaultEnvironment& env) {
+      const int k = static_cast<int>(env.seed - base);
+      std::this_thread::sleep_for(std::chrono::milliseconds(kSlowest - k));
+      return fn(env);
+    };
+  }
+  const int rate_count = static_cast<int>(spec.fault_rates.size());
+  const std::string journal = ::testing::TempDir() + "/robustify_order.journal";
+  for (const bool adaptive : {false, true}) {
+    for (const int batch : {1, 8}) {
+      spec.batch = batch;
+      campaign::RunnerOptions options;
+      options.threads = 4;
+      options.adaptive = adaptive;
+      options.journal_path = journal;
+      const campaign::CampaignResult result = campaign::RunCampaign(spec, scenario, options);
+      const std::string uninterrupted = CampaignCsvBytes(result, "order_full");
+      const std::vector<int> counts =
+          JournalCellCounts(journal, rate_count, result.cell_count);
+      for (int cell = 0; cell < result.cell_count; ++cell) {
+        EXPECT_EQ(counts[static_cast<std::size_t>(cell)],
+                  result.cells[static_cast<std::size_t>(cell / rate_count)]
+                              [static_cast<std::size_t>(cell % rate_count)].trials);
+      }
+
+      const std::string full = ReadFile(journal);
+      for (const std::size_t keep : {full.size() / 3, full.size() / 2, full.size() - 5}) {
+        {
+          std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+          out << full.substr(0, keep);  // cut anywhere, torn line included
+        }
+        campaign::RunnerOptions resume = options;
+        resume.resume = true;
+        EXPECT_EQ(CampaignCsvBytes(campaign::RunCampaign(spec, scenario, resume),
+                                   "order_resume"),
+                  uninterrupted)
+            << (adaptive ? "adaptive" : "fixed") << ", batch " << batch << ", kept "
+            << keep << " bytes";
+      }
+    }
+  }
+  std::remove(journal.c_str());
+}
+
+// A trial that throws under four workers makes RunCampaign rethrow (no
+// worker is left parked), and the journal holds only committed prefixes:
+// each cell's records are trials 0..n-1, identical to the uninterrupted
+// run's, and the failing cell stops short of the failing trial.
+TEST(CampaignScheduler, TrialFailureRethrowsWithCommittedPrefixes) {
+  campaign::CampaignSpec spec = SyntheticSpec();
+  const campaign::Scenario good = SyntheticScenario();
+  const int rate_count = static_cast<int>(spec.fault_rates.size());
+  const std::string reference_journal = ::testing::TempDir() + "/robustify_fail_ref.journal";
+  const std::string journal = ::testing::TempDir() + "/robustify_fail.journal";
+  constexpr int kFailSeries = 1, kFailRate = 1, kFailTrial = 5;
+
+  campaign::RunnerOptions options;
+  options.threads = 4;
+  options.adaptive = false;
+  options.journal_path = reference_journal;
+  const std::string uninterrupted =
+      CampaignCsvBytes(campaign::RunCampaign(spec, good, options), "fail_ref");
+  const std::vector<campaign::TrialRecord> reference =
+      campaign::CampaignJournal::Load(reference_journal).records;
+
+  campaign::Scenario failing = good;
+  failing.series[kFailSeries].fn = [fn = good.series[kFailSeries].fn, &spec](
+                                       const core::FaultEnvironment& env) {
+    if (env.fault_rate == spec.fault_rates[kFailRate] &&
+        env.seed == spec.base_seed + kFailTrial) {
+      throw std::runtime_error("injected trial failure");
+    }
+    return fn(env);
+  };
+  options.journal_path = journal;
+  EXPECT_THROW(campaign::RunCampaign(spec, failing, options), std::runtime_error);
+
+  const std::vector<int> counts = JournalCellCounts(
+      journal, rate_count, static_cast<int>(good.series.size()) * rate_count);
+  EXPECT_LE(counts[kFailSeries * rate_count + kFailRate], kFailTrial);
+  for (const campaign::TrialRecord& r : campaign::CampaignJournal::Load(journal).records) {
+    bool found = false;
+    for (const campaign::TrialRecord& want : reference) {
+      if (want.series != r.series || want.rate != r.rate || want.trial != r.trial) continue;
+      found = true;
+      EXPECT_EQ(r.success, want.success);
+      EXPECT_EQ(r.metric, want.metric);
+      EXPECT_EQ(r.faulty_flops, want.faulty_flops);
+    }
+    EXPECT_TRUE(found) << "trial " << r.trial << " is not in the reference run";
+  }
+
+  // The committed prefixes resume to the uninterrupted bytes.
+  options.resume = true;
+  EXPECT_EQ(CampaignCsvBytes(campaign::RunCampaign(spec, good, options), "fail_resume"),
+            uninterrupted);
+  std::remove(reference_journal.c_str());
   std::remove(journal.c_str());
 }
 

@@ -30,7 +30,7 @@ VALID_PHASES = {"B", "E", "i", "X", "M"}
 # Every span/instant/metadata name the runtime emits (trace.cpp producers +
 # the attribution categories in telemetry/attribution.cpp).
 KNOWN_NAMES = {
-    "campaign", "cell", "trial", "solve.sgd", "solve.cgls", "solve.cgne",
+    "campaign", "sched.wait", "trial", "solve.sgd", "solve.cgls", "solve.cgne",
     "phase", "checkpoint.flush", "sweep", "query", "stats", "reduce",
     "pool.wait", "calibrate", "fault", "trace.dropped", "process_name",
 }
