@@ -2,9 +2,10 @@
 //
 // The flight-recorder contract is that observability is (nearly) free: the
 // hot paths carry at most one relaxed load + one thread-local add, and the
-// injector/gap-sampler sites sit on the per-fault cold path.  This bench
-// pins that down: it runs the fig6_2 least-squares sweep at realistic fault
-// rates with counters disabled and enabled in interleaved A/B pairs, takes
+// injector folds its gap-draw and clean-run tallies into the counters once
+// per scope, never per op or per fault.  This bench pins that down: it runs
+// the fig6_2 least-squares sweep at realistic fault rates with counters
+// disabled and enabled in interleaved A/B pairs, takes
 // the min over several pairs (min-of-N discards scheduler noise), and fails
 // when the "on" time exceeds the "off" time by more than 2%.
 //

@@ -49,4 +49,15 @@ inline void BuildWalkerAliasTable(const double* probs, int n,
   }
 }
 
+// Resolves one alias-table probe: `slot` when the residual draw is below the
+// slot's stay threshold, else `alias`.  The outcome is the sampled value
+// itself, so a branch on it is a coin flip the predictor cannot learn; the
+// mask select (all-ones or zero from the comparison) keeps the probe
+// branch-free and returns exactly what the ternary form would.
+inline int AliasPick(std::uint64_t residual, std::uint64_t threshold, int slot,
+                     int alias) {
+  const int stay = -static_cast<int>(residual < threshold);
+  return (slot & stay) | (alias & ~stay);
+}
+
 }  // namespace robustify::faulty

@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 
+#include "faulty/alias_table.h"
 #include "faulty/lfsr.h"
 
 namespace robustify::faulty {
@@ -46,15 +47,14 @@ class BitDistribution {
   double probability(int bit) const { return weights_[static_cast<std::size_t>(bit)]; }
 
   // Sample a bit index from the distribution: one draw, one alias probe.
-  // The top 6 bits of the draw pick the slot, the remaining 58 decide
-  // between the slot and its alias.
-  int sample(Lfsr& rng) const {
-    const std::uint64_t u = rng.next();
+  int sample(Lfsr& rng) const { return Pick(rng.next()); }
+
+  // The alias probe for one 64-bit draw: the top 6 bits pick the slot, the
+  // remaining 58 decide between the slot and its alias (branch-free, see
+  // AliasPick).
+  int Pick(std::uint64_t u) const {
     const int slot = static_cast<int>(u >> 58);
-    const std::uint64_t r = u & ((1ull << 58) - 1);
-    return r < stay_threshold_[static_cast<std::size_t>(slot)]
-               ? slot
-               : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+    return AliasPick(u & ((1ull << 58) - 1), stay_threshold(slot), slot, alias(slot));
   }
 
   // Fused-draw variant (ROBUSTIFY_RNG=fused): samples from the 32 bits the
@@ -64,12 +64,15 @@ class BitDistribution {
   // sample() by tests/test_statistical.cpp.
   int sample_fused(std::uint32_t u) const {
     const int slot = static_cast<int>(u >> 26);
-    const std::uint32_t r = u & ((1u << 26) - 1);
-    return r < static_cast<std::uint32_t>(
-                   stay_threshold_[static_cast<std::size_t>(slot)] >> 32)
-               ? slot
-               : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+    return AliasPick(u & ((1u << 26) - 1), stay_threshold(slot) >> 32, slot,
+                     alias(slot));
   }
+
+  // Raw alias-table slots (the select-equivalence tests probe them).
+  std::uint64_t stay_threshold(int slot) const {
+    return stay_threshold_[static_cast<std::size_t>(slot)];
+  }
+  int alias(int slot) const { return alias_[static_cast<std::size_t>(slot)]; }
 
  private:
   void Normalize();

@@ -55,7 +55,7 @@ const char* RngModeName(RngMode mode) {
 
 FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
                              std::uint64_t seed, Strategy strategy, RngMode rng)
-    : bits_(&bits), rng_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
+    : bits_(&bits), rng_(seed ^ kSeedSalt) {
   if (fault_rate <= 0.0) {
     threshold_ = 0;
   } else if (fault_rate >= 1.0) {
@@ -79,6 +79,8 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
   // the skip-ahead strategy at rates with a gap sampler.  The per-op
   // oracle keeps its historical split stream.
   fused_ = rng == RngMode::kFused && !per_op_ && gaps_ != nullptr;
+
+  lean_ = !per_op_ && !fused_ && gaps_ != nullptr;
 
   if (per_op_) {
     countdown_ = 0;  // every op takes the fault path's Bernoulli decision
@@ -124,13 +126,38 @@ FaultInjector::FaultInjector(double fault_rate, const BitDistribution& bits,
     // Non-default models always draw split RNG words: the fused gap+bit
     // layout is an optimization of the default transient stream only.
     fused_ = false;
+    lean_ = false;
   }
+}
+
+FaultInjector::~FaultInjector() {
+  if (gaps_ != nullptr) {
+    telemetry::Count(gaps_->uses_table() ? telemetry::Counter::kGapDrawsTable
+                                         : telemetry::Counter::kGapDrawsInvCdf,
+                     gap_draws_);
+  }
+  telemetry::Count(telemetry::Counter::kGapDrawsFused, fused_gap_draws_);
+  telemetry::ObserveBuckets(telemetry::Histogram::kInjectorCleanRun, clean_run_hist_);
 }
 
 // Number of clean ops before the next fault: K ~ Geometric(rate),
 // P(K = k) = rate * (1 - rate)^k, drawn from the shared per-rate sampler
 // (alias table at high rates, inverse CDF at low ones — see gap_sampler.h).
-std::uint64_t FaultInjector::SampleGap() { return gaps_->Sample(rng_); }
+std::uint64_t FaultInjector::SampleGap() {
+  ++gap_draws_;
+  return gaps_->Sample(rng_);
+}
+
+// Fused layout: the gap half of a word the caller already drew.
+std::uint64_t FaultInjector::SampleGapFused(std::uint32_t u) {
+  ++fused_gap_draws_;
+  return gaps_->SampleFused(u, rng_);
+}
+
+// One clean-run observation for the kInjectorCleanRun histogram.
+void FaultInjector::RecordCleanRun(std::uint64_t gap) {
+  ++clean_run_hist_[telemetry::Log2Bucket(gap)];
+}
 
 double FaultInjector::FlipBit(double value, int bit) {
   std::uint64_t word;
@@ -141,13 +168,42 @@ double FaultInjector::FlipBit(double value, int bit) {
 }
 
 double FaultInjector::Corrupt(double value) {
-  ++faults_;
   ++faults_arith_;
   return FlipBit(value, bits_->sample(rng_));
 }
 
+// The lean per-fault path: draw the next gap, re-arm the countdown, flip
+// one bit.  RNG order (gap word(s), then the bit word) is the historical
+// default stream.
 double FaultInjector::FaultPath(double clean_result) {
+  if (ROBUSTIFY_UNLIKELY(!lean_)) return ColdFaultPath(clean_result);
+  const std::uint64_t gap = SampleGap();
+  scheduled_ += gap + 1;  // this op plus the next clean stretch
+  countdown_ = gap;
+  RecordCleanRun(gap);
+  telemetry::FaultInstant();
+  return Corrupt(clean_result);
+}
+
+bool FaultInjector::FaultPathComparison(bool clean_result) {
+  if (ROBUSTIFY_UNLIKELY(!lean_)) return ColdFaultPathComparison(clean_result);
+  const std::uint64_t gap = SampleGap();
+  scheduled_ += gap + 1;
+  countdown_ = gap;
+  ++faults_compare_;
+  RecordCleanRun(gap);
+  telemetry::FaultInstant();
+  return !clean_result;
+}
+
+double FaultInjector::ColdFaultPath(double clean_result) {
   if (!model_default_) return ModelFault(clean_result, kOpClassArith);
+  if (per_op_) {
+    // The reference oracle: one Bernoulli draw per op.
+    ++scheduled_;
+    if (threshold_ != 0 && rng_.next() < threshold_) return Corrupt(clean_result);
+    return clean_result;
+  }
   if (threshold_ == 0) {
     // Rate 0 (reachable only after 2^64-1 ops): re-arm without faulting.
     // scheduled_ += kNever + 1 is += 0 mod 2^64, so the invariant
@@ -160,53 +216,45 @@ double FaultInjector::FaultPath(double clean_result) {
     scheduled_ += 1;
     return Corrupt(clean_result);
   }
-  if (fused_) {
-    // One word pays for the whole fault: high half seeds the gap draw, low
-    // half the bit draw.
-    const std::uint64_t u = rng_.next();
-    const std::uint64_t gap =
-        gaps_->SampleFused(static_cast<std::uint32_t>(u >> 32), rng_);
-    scheduled_ += gap + 1;
-    countdown_ = gap;
-    ++faults_;
-    ++faults_arith_;
-    // Telemetry on the already-cold per-fault path only: the countdown hot
-    // path stays untouched, and nothing here reads the simulation RNG.
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
-    telemetry::FaultInstant();
-    return FlipBit(clean_result,
-                   bits_->sample_fused(static_cast<std::uint32_t>(u)));
-  }
-  const std::uint64_t gap = SampleGap();
-  scheduled_ += gap + 1;  // this op plus the next clean stretch
+  // Fused: one word pays for the whole fault — high half seeds the gap
+  // draw, low half the bit draw.
+  const std::uint64_t u = rng_.next();
+  const std::uint64_t gap = SampleGapFused(static_cast<std::uint32_t>(u >> 32));
+  scheduled_ += gap + 1;
   countdown_ = gap;
-  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
+  ++faults_arith_;
+  RecordCleanRun(gap);
   telemetry::FaultInstant();
-  return Corrupt(clean_result);
+  return FlipBit(clean_result, bits_->sample_fused(static_cast<std::uint32_t>(u)));
 }
 
-bool FaultInjector::FaultPathComparison(bool clean_result) {
+bool FaultInjector::ColdFaultPathComparison(bool clean_result) {
   if (!model_default_) return ModelComparisonFault(clean_result);
+  if (per_op_) {
+    ++scheduled_;
+    if (threshold_ != 0 && rng_.next() < threshold_) {
+      ++faults_compare_;
+      return !clean_result;
+    }
+    return clean_result;
+  }
   if (threshold_ == 0) {
     countdown_ = kNever;
     return clean_result;
   }
   if (threshold_ == kNever) {
     scheduled_ += 1;
-    ++faults_;
     ++faults_compare_;
     return !clean_result;
   }
-  // A comparison fault flips the predicate instead of a stored bit, so
-  // only the gap half of a fused word is consumed.
+  // Fused: a comparison fault flips the predicate instead of a stored bit,
+  // so only the gap half of the word is consumed.
   const std::uint64_t gap =
-      fused_ ? gaps_->SampleFused(static_cast<std::uint32_t>(rng_.next() >> 32), rng_)
-             : SampleGap();
+      SampleGapFused(static_cast<std::uint32_t>(rng_.next() >> 32));
   scheduled_ += gap + 1;
   countdown_ = gap;
-  ++faults_;
   ++faults_compare_;
-  telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
+  RecordCleanRun(gap);
   telemetry::FaultInstant();
   return !clean_result;
 }
@@ -218,7 +266,6 @@ bool FaultInjector::FaultPathComparison(bool clean_result) {
 // (tests/test_model_golden.cpp) stay byte-identical by construction.
 
 void FaultInjector::CountClassFault(unsigned op_class) {
-  ++faults_;
   if (op_class == kOpClassArith) {
     ++faults_arith_;
   } else if (op_class == kOpClassCompare) {
@@ -379,7 +426,7 @@ double FaultInjector::ModelFault(double clean_result, unsigned op_class) {
     scheduled_ += gap + 1;
     countdown_ = gap;
     fire = true;
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
+    RecordCleanRun(gap);
   }
   double result = clean_result;
   if (fire) result = FireScheduledFault(result, op_class);
@@ -447,7 +494,7 @@ bool FaultInjector::ModelComparisonFault(bool clean_result) {
     scheduled_ += gap + 1;
     countdown_ = gap;
     fire = true;
-    telemetry::Observe(telemetry::Histogram::kInjectorCleanRun, gap);
+    RecordCleanRun(gap);
   }
   bool result = clean_result;
   if (fire && (model_.op_classes & kOpClassCompare) != 0) {

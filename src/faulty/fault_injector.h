@@ -9,14 +9,23 @@
 //
 // Hot path (geometric skip-ahead): instead of one Bernoulli RNG draw per
 // op, the injector samples the number of clean ops until the next fault
-// once per *fault* — from a shared per-rate GeometricGapSampler — and
-// Execute() is then a single counter decrement + compare until the
-// countdown hits zero.  The gap sampler's alias-table form keeps the
-// per-fault cost at one draw + one probe even when a fault lands every few
-// ops, so skip-ahead is the single strategy for the whole rate range
-// (1e-7 .. 0.5 and beyond); the original per-op Bernoulli implementation
-// survives only as the statistical test oracle, selectable explicitly or
-// via ROBUSTIFY_INJECTOR=perop.  Flop accounting stays exact in both modes
+// once per *fault* — from a shared per-rate GeometricGapSampler.  The work
+// splits three ways:
+//  * one inlined compare-and-decrement per op: Execute() and its
+//    comparison twin are forced inline into every kernel, so a clean op is
+//    a load, a test, and a store of the countdown;
+//  * a lean out-of-line fault path (FaultPath) for the default transient
+//    model: draw the next gap, re-arm the countdown, flip one bit — with
+//    branch-free LFSR and alias-table draws, and telemetry tallied in
+//    injector members, folded into the thread's shard once per scope;
+//  * a cold path for everything else: non-default temporal models, the
+//    per-op Bernoulli oracle, the fused RNG layout, and rates 0 and 1.
+// The gap sampler's alias-table form keeps the per-fault cost at one draw
+// + one probe even when a fault lands every few ops, so skip-ahead is the
+// single strategy for the whole rate range (1e-7 .. 0.5 and beyond); the
+// original per-op Bernoulli implementation survives only as the
+// statistical test oracle, selectable explicitly or via
+// ROBUSTIFY_INJECTOR=perop.  Flop accounting stays exact in both modes
 // (skip-ahead derives it from the scheduled-gap arithmetic, so the hot path
 // does not even touch a counter), and a fixed seed + strategy still
 // reproduces the trial bit-for-bit.  Note: the *fault stream* for a given
@@ -30,13 +39,25 @@
 #include "faulty/fault_model.h"
 #include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
+#include "telemetry/telemetry.h"
 
 // The countdown branch is taken for all but ~rate of the ops; telling the
-// compiler keeps the fault machinery out of the fall-through path.
+// compiler keeps the fault machinery out of the fall-through path.  The
+// per-op entry points are forced inline: left to the inliner's budget, a
+// large objective (SortObjective<Real>::Value) kept 16 of its calls to them
+// out of line, a call per op.
 #if defined(__GNUC__) || defined(__clang__)
 #define ROBUSTIFY_LIKELY(x) __builtin_expect(!!(x), 1)
+#define ROBUSTIFY_UNLIKELY(x) __builtin_expect(!!(x), 0)
+#define ROBUSTIFY_ALWAYS_INLINE [[gnu::always_inline]] inline
+#define ROBUSTIFY_NOINLINE [[gnu::noinline]]
+#define ROBUSTIFY_COLD [[gnu::cold, gnu::noinline]]
 #else
 #define ROBUSTIFY_LIKELY(x) (x)
+#define ROBUSTIFY_UNLIKELY(x) (x)
+#define ROBUSTIFY_ALWAYS_INLINE inline
+#define ROBUSTIFY_NOINLINE
+#define ROBUSTIFY_COLD
 #endif
 
 namespace robustify::faulty {
@@ -102,6 +123,10 @@ class FaultInjector {
     kPerOp,      // per-op Bernoulli draw (reference oracle for the tests)
   };
 
+  // The injector's LFSR runs from `seed ^ kSeedSalt`: a test that replays
+  // the gap stream outside the injector seeds its own Lfsr the same way.
+  static constexpr std::uint64_t kSeedSalt = 0xA5A5A5A55A5A5A5Aull;
+
   // `bits` is captured by pointer and must outlive the injector; use
   // SharedBitDistribution() for the built-in models.  kAuto resolves via
   // the ROBUSTIFY_INJECTOR environment variable ("skip" or "perop") when
@@ -124,19 +149,20 @@ class FaultInjector {
   FaultInjector(double fault_rate, BitDistribution&& bits, std::uint64_t seed,
                 Strategy strategy = Strategy::kAuto, RngMode rng = RngMode::kAuto) = delete;
 
-  // Hot path: clean until the countdown expires.  In per-op mode the
-  // countdown is pinned to zero, so control falls through to the original
-  // inline Bernoulli decision on every op.
-  double Execute(double clean_result) {
+  // Folds the scope's gap-draw counts and clean-run histogram into the
+  // thread's telemetry shard (the per-fault path only tallies them here).
+  ~FaultInjector();
+  // A copy would fold the same tallies twice.
+  FaultInjector(const FaultInjector&) = delete;
+  FaultInjector& operator=(const FaultInjector&) = delete;
+
+  // Hot path: clean until the countdown expires, then the out-of-line fault
+  // path.  In per-op mode the countdown is pinned to zero, so every op
+  // takes the cold path's Bernoulli decision.
+  ROBUSTIFY_ALWAYS_INLINE double Execute(double clean_result) {
     const std::uint64_t remaining = countdown_;
     if (ROBUSTIFY_LIKELY(remaining != 0)) {
       countdown_ = remaining - 1;
-      return clean_result;
-    }
-    if (per_op_) {
-      if (!model_default_) return ModelFault(clean_result, kOpClassArith);
-      ++scheduled_;
-      if (threshold_ != 0 && rng_.next() < threshold_) return Corrupt(clean_result);
       return clean_result;
     }
     return FaultPath(clean_result);
@@ -144,20 +170,10 @@ class FaultInjector {
 
   // FP comparisons run through the subtractor and the comparator flags; a
   // timing fault there inverts the predicate outcome.
-  bool ExecuteComparison(bool clean_result) {
+  ROBUSTIFY_ALWAYS_INLINE bool ExecuteComparison(bool clean_result) {
     const std::uint64_t remaining = countdown_;
     if (ROBUSTIFY_LIKELY(remaining != 0)) {
       countdown_ = remaining - 1;
-      return clean_result;
-    }
-    if (per_op_) {
-      if (!model_default_) return ModelComparisonFault(clean_result);
-      ++scheduled_;
-      if (threshold_ != 0 && rng_.next() < threshold_) {
-        ++faults_;
-        ++faults_compare_;
-        return !clean_result;
-      }
       return clean_result;
     }
     return FaultPathComparison(clean_result);
@@ -169,7 +185,7 @@ class FaultInjector {
   // keeps loads entirely off the injector, preserving the historical op
   // stream).  A routed load counts as one scheduled op, exactly like an
   // arithmetic result.
-  double ExecuteLoad(double clean_value) {
+  ROBUSTIFY_ALWAYS_INLINE double ExecuteLoad(double clean_value) {
     const std::uint64_t remaining = countdown_;
     if (ROBUSTIFY_LIKELY(remaining != 0)) {
       countdown_ = remaining - 1;
@@ -223,7 +239,7 @@ class FaultInjector {
     // pending_gap_ (outside both terms) and restores it symmetrically on
     // expiry, so the invariant holds through every window transition.
     s.faulty_flops = scheduled_ - countdown_;
-    s.faults_injected = faults_;
+    s.faults_injected = faults_arith_ + faults_compare_ + faults_memory_;
     s.faults_arith = faults_arith_;
     s.faults_compare = faults_compare_;
     s.faults_memory = faults_memory_;
@@ -251,11 +267,18 @@ class FaultInjector {
  private:
   static constexpr std::uint64_t kNever = ~0ull;
 
-  // Cold paths (out of line, src/faulty/fault_injector.cpp): corrupt the
-  // result and, in skip-ahead mode, re-arm the countdown.
-  double FaultPath(double clean_result);
-  bool FaultPathComparison(bool clean_result);
+  // Out of line (src/faulty/fault_injector.cpp).  FaultPath /
+  // FaultPathComparison are the lean per-fault paths of the default
+  // transient model (lean_); every other configuration falls through to the
+  // cold pair, which owns the per-op oracle, the fused RNG layout, rates 0
+  // and 1, and the non-default models.
+  ROBUSTIFY_NOINLINE double FaultPath(double clean_result);
+  ROBUSTIFY_NOINLINE bool FaultPathComparison(bool clean_result);
+  ROBUSTIFY_COLD double ColdFaultPath(double clean_result);
+  ROBUSTIFY_COLD bool ColdFaultPathComparison(bool clean_result);
   std::uint64_t SampleGap();
+  std::uint64_t SampleGapFused(std::uint32_t u);
+  void RecordCleanRun(std::uint64_t gap);
   double Corrupt(double value);
   static double FlipBit(double value, int bit);
 
@@ -272,13 +295,24 @@ class FaultInjector {
   double CorruptClass(double value, unsigned op_class);
   void CountClassFault(unsigned op_class);
 
-  const BitDistribution* bits_;
-  const GeometricGapSampler* gaps_ = nullptr;  // null at rates 0 and 1
-  Lfsr rng_;
+  // Hot state first: the countdown is all a clean op touches, and the lean
+  // fault path reads and writes only the fields up to clean_run_hist_.
   std::uint64_t countdown_ = 0;   // clean ops left before the next fault
+  bool lean_ = false;             // default transient model, skip-ahead,
+                                  // split RNG, 0 < rate < 1: FaultPath
+  const GeometricGapSampler* gaps_ = nullptr;  // null at rates 0 and 1
+  const BitDistribution* bits_;
+  Lfsr rng_;
   std::uint64_t scheduled_ = 0;   // ops covered: sampled gaps (skip-ahead)
                                   // or one per op (per-op oracle)
-  std::uint64_t faults_ = 0;
+  // Corruptions per op class; their sum is stats().faults_injected.
+  std::uint64_t faults_arith_ = 0;
+  std::uint64_t faults_compare_ = 0;
+  std::uint64_t faults_memory_ = 0;
+  // Telemetry tallies, folded into the thread's shard by the destructor.
+  std::uint64_t gap_draws_ = 0;         // full-word gap draws (Sample)
+  std::uint64_t fused_gap_draws_ = 0;   // gap draws from a fused word
+  std::uint64_t clean_run_hist_[telemetry::kHistogramBuckets] = {};
   std::uint64_t threshold_ = 0;   // fault_rate scaled to the uint64 range
   bool per_op_ = false;
   bool fused_ = false;            // one LFSR word serves the gap + bit draws
@@ -293,9 +327,6 @@ class FaultInjector {
   std::uint64_t stuck_or_ = 0;     // live stuck-at-1 forcing mask
   std::uint64_t stuck_and_ = ~0ull;  // live stuck-at-0 forcing mask
   std::uint64_t window_threshold_ = 0;  // window_rate scaled to uint64
-  std::uint64_t faults_arith_ = 0;
-  std::uint64_t faults_compare_ = 0;
-  std::uint64_t faults_memory_ = 0;
   std::uint64_t windows_opened_ = 0;
 };
 
@@ -319,13 +350,13 @@ inline FaultInjector* ExchangeThreadInjector(FaultInjector* next) {
 }  // namespace detail
 
 // Routes one FP result through the thread's injector (clean when inactive).
-inline double Execute(double clean_result) {
+ROBUSTIFY_ALWAYS_INLINE double Execute(double clean_result) {
   FaultInjector* inj = detail::tls_injector;
   return inj ? inj->Execute(clean_result) : clean_result;
 }
 
 // Routes one FP comparison outcome through the thread's injector.
-inline bool ExecuteComparison(bool clean_result) {
+ROBUSTIFY_ALWAYS_INLINE bool ExecuteComparison(bool clean_result) {
   FaultInjector* inj = detail::tls_injector;
   return inj ? inj->ExecuteComparison(clean_result) : clean_result;
 }
@@ -345,7 +376,7 @@ inline bool LoadsRouted() {
 // Routes one memory load through the thread's injector.  Callers must have
 // checked LoadsRouted(); the null test here is only a safety net for
 // kernels instantiated outside a scope.
-inline double ExecuteLoad(double clean_value) {
+ROBUSTIFY_ALWAYS_INLINE double ExecuteLoad(double clean_value) {
   FaultInjector* inj = detail::tls_injector;
   return inj ? inj->ExecuteLoad(clean_value) : clean_value;
 }

@@ -25,8 +25,8 @@
 #include <array>
 #include <cstdint>
 
+#include "faulty/alias_table.h"
 #include "faulty/lfsr.h"
-#include "telemetry/telemetry.h"
 
 namespace robustify::faulty {
 
@@ -54,25 +54,25 @@ class GeometricGapSampler {
   bool uses_table() const { return table_; }
 
   // One gap draw from `rng`; kNever when the sampled gap exceeds 2^64.
+  // Draw counts are the caller's to keep (the injector tallies its own and
+  // folds them into telemetry once per scope, off the per-fault path).
   std::uint64_t Sample(Lfsr& rng) const {
-    if (!table_) {
-      telemetry::Count(telemetry::Counter::kGapDrawsInvCdf);
-      return SampleInverseCdf(rng);
-    }
-    telemetry::Count(telemetry::Counter::kGapDrawsTable);
+    if (!table_) return SampleInverseCdf(rng);
     std::uint64_t base = 0;
     for (;;) {
-      // Same draw split as BitDistribution: top 6 bits pick the slot, the
-      // 58-bit residual decides between the slot and its alias.
-      const std::uint64_t u = rng.next();
-      const int slot = static_cast<int>(u >> 58);
-      const std::uint64_t r = u & ((1ull << 58) - 1);
-      const int outcome = r < stay_threshold_[static_cast<std::size_t>(slot)]
-                              ? slot
-                              : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+      const int outcome = TableOutcome(rng.next());
       if (outcome < kTableGaps) return base + static_cast<std::uint64_t>(outcome);
       base += kTableGaps;  // tail: gap >= 63; memorylessness restarts the draw
     }
+  }
+
+  // The alias probe for one 64-bit draw — same split as BitDistribution:
+  // the top 6 bits pick the slot, the 58-bit residual decides between the
+  // slot and its alias (branch-free, see AliasPick).  Outcome kTableGaps is
+  // the memoryless tail.
+  int TableOutcome(std::uint64_t u) const {
+    const int slot = static_cast<int>(u >> 58);
+    return AliasPick(u & ((1ull << 58) - 1), stay_threshold(slot), slot, alias(slot));
   }
 
   // Fused-draw form (ROBUSTIFY_RNG=fused): the caller hands the 32 bits it
@@ -83,29 +83,20 @@ class GeometricGapSampler {
   // far below what the statistical gates resolve (test_statistical.cpp
   // holds this stream to the same chi-square/KS criteria as Sample()).
   std::uint64_t SampleFused(std::uint32_t u, Lfsr& rng) const {
-    telemetry::Count(telemetry::Counter::kGapDrawsFused);
     if (!table_) return SampleInverseCdf32(u);
     const int slot = static_cast<int>(u >> 26);
-    const std::uint32_t r = u & ((1u << 26) - 1);
-    const int outcome =
-        r < static_cast<std::uint32_t>(
-                stay_threshold_[static_cast<std::size_t>(slot)] >> 32)
-            ? slot
-            : static_cast<int>(alias_[static_cast<std::size_t>(slot)]);
+    const int outcome = AliasPick(u & ((1u << 26) - 1), stay_threshold(slot) >> 32,
+                                  slot, alias(slot));
     if (outcome < kTableGaps) return static_cast<std::uint64_t>(outcome);
     // Tail (gap >= 63): memorylessness restarts the draw at full width.
-    std::uint64_t base = kTableGaps;
-    for (;;) {
-      const std::uint64_t w = rng.next();
-      const int s = static_cast<int>(w >> 58);
-      const std::uint64_t rr = w & ((1ull << 58) - 1);
-      const int o = rr < stay_threshold_[static_cast<std::size_t>(s)]
-                        ? s
-                        : static_cast<int>(alias_[static_cast<std::size_t>(s)]);
-      if (o < kTableGaps) return base + static_cast<std::uint64_t>(o);
-      base += kTableGaps;
-    }
+    return kTableGaps + Sample(rng);
   }
+
+  // Raw alias-table slots (the select-equivalence tests probe them).
+  std::uint64_t stay_threshold(int slot) const {
+    return stay_threshold_[static_cast<std::size_t>(slot)];
+  }
+  int alias(int slot) const { return alias_[static_cast<std::size_t>(slot)]; }
 
   // Process-wide cache keyed by the rate's bit pattern: built on first use,
   // immutable and lock-free to read afterwards (the injector constructor

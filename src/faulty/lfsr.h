@@ -21,10 +21,10 @@ class Lfsr {
   // Advances one full word (64 shifts folded into the Galois update applied
   // word-at-a-time): one step of the classic bitwise form.
   std::uint64_t next() {
-    // Galois form: shift right, conditionally XOR the tap mask.
-    const std::uint64_t lsb = state_ & 1u;
-    state_ >>= 1;
-    if (lsb) state_ ^= kTaps;
+    // Galois form: shift right, XOR the tap mask when the shifted-out bit
+    // was set.  The mask form -(lsb) & kTaps keeps the step branch-free (a
+    // conditional XOR compiles to a 50/50 branch the predictor cannot learn).
+    state_ = (state_ >> 1) ^ (-(state_ & 1u) & kTaps);
     // One raw Galois step only decorrelates one bit; mix the state through a
     // splitmix finalizer so consecutive outputs look word-random while the
     // underlying LFSR sequence (and hence the period) is unchanged.

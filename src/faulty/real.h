@@ -24,19 +24,39 @@ class Real {
   double value() const { return v_; }
   explicit operator double() const { return v_; }
 
-  Real& operator+=(Real o) { v_ = Execute(v_ + o.v_); return *this; }
-  Real& operator-=(Real o) { v_ = Execute(v_ - o.v_); return *this; }
-  Real& operator*=(Real o) { v_ = Execute(v_ * o.v_); return *this; }
-  Real& operator/=(Real o) { v_ = Execute(v_ / o.v_); return *this; }
+  ROBUSTIFY_ALWAYS_INLINE Real& operator+=(Real o) {
+    v_ = Execute(v_ + o.v_);
+    return *this;
+  }
+  ROBUSTIFY_ALWAYS_INLINE Real& operator-=(Real o) {
+    v_ = Execute(v_ - o.v_);
+    return *this;
+  }
+  ROBUSTIFY_ALWAYS_INLINE Real& operator*=(Real o) {
+    v_ = Execute(v_ * o.v_);
+    return *this;
+  }
+  ROBUSTIFY_ALWAYS_INLINE Real& operator/=(Real o) {
+    v_ = Execute(v_ / o.v_);
+    return *this;
+  }
 
  private:
   double v_ = 0.0;
 };
 
-inline Real operator+(Real a, Real b) { return Real(Execute(a.value() + b.value())); }
-inline Real operator-(Real a, Real b) { return Real(Execute(a.value() - b.value())); }
-inline Real operator*(Real a, Real b) { return Real(Execute(a.value() * b.value())); }
-inline Real operator/(Real a, Real b) { return Real(Execute(a.value() / b.value())); }
+ROBUSTIFY_ALWAYS_INLINE Real operator+(Real a, Real b) {
+  return Real(Execute(a.value() + b.value()));
+}
+ROBUSTIFY_ALWAYS_INLINE Real operator-(Real a, Real b) {
+  return Real(Execute(a.value() - b.value()));
+}
+ROBUSTIFY_ALWAYS_INLINE Real operator*(Real a, Real b) {
+  return Real(Execute(a.value() * b.value()));
+}
+ROBUSTIFY_ALWAYS_INLINE Real operator/(Real a, Real b) {
+  return Real(Execute(a.value() / b.value()));
+}
 inline Real operator-(Real a) { return Real(-a.value()); }  // sign flip: not an FPU op
 inline Real operator+(Real a) { return a; }
 
@@ -44,15 +64,27 @@ inline Real operator+(Real a) { return a; }
 // timing fault inverts the branch a baseline algorithm takes, which is
 // exactly how a comparison sort misplaces elements on the stochastic
 // processor.
-inline bool operator<(Real a, Real b) { return ExecuteComparison(a.value() < b.value()); }
-inline bool operator>(Real a, Real b) { return ExecuteComparison(a.value() > b.value()); }
-inline bool operator<=(Real a, Real b) { return ExecuteComparison(a.value() <= b.value()); }
-inline bool operator>=(Real a, Real b) { return ExecuteComparison(a.value() >= b.value()); }
-inline bool operator==(Real a, Real b) { return ExecuteComparison(a.value() == b.value()); }
-inline bool operator!=(Real a, Real b) { return ExecuteComparison(a.value() != b.value()); }
+ROBUSTIFY_ALWAYS_INLINE bool operator<(Real a, Real b) {
+  return ExecuteComparison(a.value() < b.value());
+}
+ROBUSTIFY_ALWAYS_INLINE bool operator>(Real a, Real b) {
+  return ExecuteComparison(a.value() > b.value());
+}
+ROBUSTIFY_ALWAYS_INLINE bool operator<=(Real a, Real b) {
+  return ExecuteComparison(a.value() <= b.value());
+}
+ROBUSTIFY_ALWAYS_INLINE bool operator>=(Real a, Real b) {
+  return ExecuteComparison(a.value() >= b.value());
+}
+ROBUSTIFY_ALWAYS_INLINE bool operator==(Real a, Real b) {
+  return ExecuteComparison(a.value() == b.value());
+}
+ROBUSTIFY_ALWAYS_INLINE bool operator!=(Real a, Real b) {
+  return ExecuteComparison(a.value() != b.value());
+}
 
 // Math functions found by ADL from templated code (`using std::sqrt;`).
-inline Real sqrt(Real a) { return Real(Execute(std::sqrt(a.value()))); }
+ROBUSTIFY_ALWAYS_INLINE Real sqrt(Real a) { return Real(Execute(std::sqrt(a.value()))); }
 inline Real fabs(Real a) { return Real(std::fabs(a.value())); }  // sign clear: reliable
 inline Real abs(Real a) { return fabs(a); }
 

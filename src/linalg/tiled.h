@@ -209,6 +209,10 @@ class TiledLsqEngine {
     if (stats) *stats = detail::SumTaskStats(task_stats_);
   }
 
+  // Per-task scope stats of the last solve, indexed by task id (the id that
+  // seeds the task's injector stream).
+  const std::vector<faulty::ContextStats>& task_stats() const { return task_stats_; }
+
  private:
   // ---- resource ids --------------------------------------------------------
   std::size_t GramRes(std::size_t i, std::size_t j) const { return i * g_.tiles() + j; }

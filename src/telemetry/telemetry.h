@@ -102,6 +102,22 @@ inline std::uint64_t HistogramBucketLowerBound(int bucket) {
   return bucket == 0 ? 0 : 1ull << (bucket - 1);
 }
 
+// Histogram bucket of a value: 0 for 0, else its bit width (1 + floor log2).
+// Branch-free — the injector tallies a bucket per fault, and small gaps
+// (0 and 1 are both common at high rates) would make a branch a coin flip.
+inline int Log2Bucket(std::uint64_t value) {
+#if defined(__GNUC__) || defined(__clang__)
+  return 64 - __builtin_clzll(value | 1) - static_cast<int>(value == 0);
+#else
+  int b = 0;
+  while (value != 0) {
+    ++b;
+    value >>= 1;
+  }
+  return b;
+#endif
+}
+
 // Interpolated quantile over one histogram's kHistogramBuckets counts:
 // ranks interpolate linearly inside a bucket's [2^(b-1), 2^b) value range
 // (bucket 0 is exactly 0).  q clamps to [0, 1]; an empty histogram reads
@@ -138,19 +154,6 @@ inline thread_local ShardHolder tls_shard;
 // runs, never mid-trial.
 extern std::atomic<bool> g_counters_enabled;
 
-inline std::uint64_t Log2Bucket(std::uint64_t value) {
-#if defined(__GNUC__) || defined(__clang__)
-  return value == 0 ? 0 : 64 - static_cast<unsigned>(__builtin_clzll(value));
-#else
-  int b = 0;
-  while (value != 0) {
-    ++b;
-    value >>= 1;
-  }
-  return static_cast<std::uint64_t>(b);
-#endif
-}
-
 }  // namespace detail
 
 // Single-owner increment: load + store on this thread's slot (compiles to
@@ -165,9 +168,22 @@ inline void Count(Counter c, std::uint64_t n = 1) {
 inline void Observe(Histogram h, std::uint64_t value) {
   if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
   std::atomic<std::uint64_t>& slot =
-      detail::tls_shard.shard
-          .histograms[static_cast<int>(h)][detail::Log2Bucket(value)];
+      detail::tls_shard.shard.histograms[static_cast<int>(h)][Log2Bucket(value)];
   slot.store(slot.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+// Bulk form of Observe: adds `buckets` (kHistogramBuckets counts, indexed
+// by Log2Bucket) to the histogram in one pass.  For producers that tally
+// locally and fold once per scope (the fault injector's clean runs).
+inline void ObserveBuckets(Histogram h, const std::uint64_t* buckets) {
+  if (!detail::g_counters_enabled.load(std::memory_order_relaxed)) return;
+  std::atomic<std::uint64_t>* row =
+      detail::tls_shard.shard.histograms[static_cast<int>(h)];
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    if (buckets[b] == 0) continue;
+    row[b].store(row[b].load(std::memory_order_relaxed) + buckets[b],
+                 std::memory_order_relaxed);
+  }
 }
 
 inline bool CountersEnabled() {
@@ -181,6 +197,7 @@ void SetCountersEnabled(bool enabled);
 
 inline void Count(Counter, std::uint64_t = 1) {}
 inline void Observe(Histogram, std::uint64_t) {}
+inline void ObserveBuckets(Histogram, const std::uint64_t*) {}
 inline bool CountersEnabled() { return false; }
 inline void SetCountersEnabled(bool) {}
 

@@ -4,14 +4,17 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <ios>
 #include <stdexcept>
 #include <string>
 
 #include "core/fault_env.h"
 #include "faulty/bit_distribution.h"
 #include "faulty/fault_injector.h"
+#include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
 #include "faulty/real.h"
 
@@ -63,6 +66,97 @@ TEST(Lfsr, UniformInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / kDraws, 0.5, 0.01);
+}
+
+// The historical Galois step with the tap XOR as a branch — kept here as
+// the oracle for the branch-free mask form Lfsr::next() now uses.
+class BranchyLfsr {
+ public:
+  explicit BranchyLfsr(std::uint64_t seed) : state_(seed ? seed : 0x9E3779B97F4A7C15ull) {}
+  std::uint64_t next() {
+    const std::uint64_t lsb = state_ & 1u;
+    state_ >>= 1;
+    if (lsb) state_ ^= Lfsr::kTaps;
+    std::uint64_t z = state_ + 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t state() const { return state_; }
+
+ private:
+  std::uint64_t state_;
+};
+
+TEST(Lfsr, BranchFreeStepMatchesBranchyOracle) {
+  // Seed 0 exercises the default-seed remap; the others a mix of set and
+  // clear low bits.
+  for (const std::uint64_t seed :
+       {0ull, 1ull, 42ull ^ FaultInjector::kSeedSalt, 0xFFFFFFFFFFFFFFFFull}) {
+    Lfsr fast(seed);
+    BranchyLfsr oracle(seed);
+    for (int i = 0; i < 1000000; ++i) {
+      const std::uint64_t want = oracle.next();
+      const std::uint64_t got = fast.next();
+      if (got != want) {
+        ADD_FAILURE() << "seed " << seed << " diverges at word " << i;
+        break;
+      }
+    }
+    EXPECT_EQ(fast.state(), oracle.state());
+  }
+}
+
+// The ternary select the alias probes used to compile to a branch on.
+int TernaryPick(std::uint64_t residual, std::uint64_t threshold, int slot, int alias) {
+  return residual < threshold ? slot : alias;
+}
+
+// Probes every slot of an alias table at residuals threshold-1, threshold
+// and threshold+1 (those inside the `residual_bits`-wide field) and checks
+// the branch-free `pick(word)` against the ternary select.  The fused
+// layout compares against the thresholds shifted down by `threshold_shift`.
+template <class Table, class Pick>
+void ExpectPickMatchesTernary(const Table& table, int slots, int residual_bits,
+                              int threshold_shift, Pick pick) {
+  const std::uint64_t field = 1ull << residual_bits;
+  int probes = 0;
+  for (int slot = 0; slot < slots; ++slot) {
+    const std::uint64_t threshold = table.stay_threshold(slot) >> threshold_shift;
+    const int alias = table.alias(slot);
+    for (const int delta : {-1, 0, 1}) {
+      if (delta < 0 && threshold == 0) continue;
+      const std::uint64_t residual = threshold + static_cast<std::uint64_t>(delta);
+      if (residual >= field) continue;
+      const std::uint64_t word = (static_cast<std::uint64_t>(slot) << residual_bits) | residual;
+      EXPECT_EQ(pick(word), TernaryPick(residual, threshold, slot, alias))
+          << "slot " << slot << ", residual threshold" << std::showpos << delta;
+      ++probes;
+    }
+  }
+  // Slots that always stay (threshold past the field) have nothing to
+  // probe; every table here splits most of its slots.
+  EXPECT_GT(probes, slots);
+}
+
+TEST(AliasSelect, BitDistributionMaskSelectMatchesTernary) {
+  const BitDistribution& dist = SharedBitDistribution(BitModel::kBimodal);
+  ExpectPickMatchesTernary(dist, kWordBits, 58, 0,
+                           [&](std::uint64_t u) { return dist.Pick(u); });
+  ExpectPickMatchesTernary(dist, kWordBits, 26, 32, [&](std::uint64_t u) {
+    return dist.sample_fused(static_cast<std::uint32_t>(u));
+  });
+}
+
+TEST(AliasSelect, GapTableMaskSelectMatchesTernary) {
+  using robustify::faulty::GeometricGapSampler;
+  for (const double rate : {1.0 / 64.0, 0.05, 0.2}) {
+    SCOPED_TRACE(rate);
+    const GeometricGapSampler& gaps = GeometricGapSampler::Shared(rate);
+    ASSERT_TRUE(gaps.uses_table());
+    ExpectPickMatchesTernary(gaps, GeometricGapSampler::kTableSlots, 58, 0,
+                             [&](std::uint64_t u) { return gaps.TableOutcome(u); });
+  }
 }
 
 double RegionMass(const BitDistribution& dist, int lo, int hi) {

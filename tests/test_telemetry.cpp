@@ -23,15 +23,19 @@
 #include <vector>
 
 #include "apps/configs.h"
+#include "apps/least_squares.h"
 #include "apps/sort_app.h"
 #include "campaign/runner.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
+#include "faulty/gap_sampler.h"
+#include "faulty/lfsr.h"
 #include "harness/csv.h"
 #include "harness/parallel.h"
 #include "harness/sweep.h"
 #include "linalg/scalar.h"
+#include "linalg/tiled.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
 #include "telemetry/telemetry.h"
@@ -231,6 +235,128 @@ TEST(Telemetry, InjectorCountersMatchContextStats) {
   // aside, faults and gap observations track each other 1:1 here.
   EXPECT_EQ(snap.histogram_total(telemetry::Histogram::kInjectorCleanRun),
             stats.faults_injected);
+}
+
+// Gap-draw counters and clean-run buckets, rebuilt by replaying the
+// default transient stream outside the injector.
+struct GapReplay {
+  std::uint64_t table_draws = 0;
+  std::uint64_t inv_cdf_draws = 0;
+  std::uint64_t clean_run[telemetry::kHistogramBuckets] = {};
+
+  // One skip-ahead injector scope at `rate` whose `faults` all landed on
+  // arithmetic ops: the initial gap, then per fault the next gap (one
+  // clean-run observation) and the flipped bit's word.
+  void Scope(double rate, std::uint64_t seed, std::uint64_t faults) {
+    const faulty::GeometricGapSampler& gaps = faulty::GeometricGapSampler::Shared(rate);
+    const faulty::BitDistribution& bits = faulty::SharedBitDistribution(faulty::BitModel::kBimodal);
+    faulty::Lfsr rng(seed ^ faulty::FaultInjector::kSeedSalt);
+    std::uint64_t& draws = gaps.uses_table() ? table_draws : inv_cdf_draws;
+    gaps.Sample(rng);
+    ++draws;
+    for (std::uint64_t f = 0; f < faults; ++f) {
+      ++clean_run[telemetry::Log2Bucket(gaps.Sample(rng))];
+      ++draws;
+      bits.sample(rng);
+    }
+  }
+};
+
+core::FaultEnvironment PinnedSplitEnv(double rate, std::uint64_t seed) {
+  core::FaultEnvironment env;
+  env.fault_rate = rate;
+  env.seed = seed;
+  // Pin the default stream against the ROBUSTIFY_INJECTOR / _RNG /
+  // _FAULT_MODEL CI legs: the replay is of the split skip-ahead path.
+  env.strategy = faulty::FaultInjector::Strategy::kSkipAhead;
+  env.rng = faulty::RngMode::kSplit;
+  env.model.temporal = faulty::Temporal::kTransient;
+  return env;
+}
+
+double AddChain(int ops) {
+  faulty::Real acc(0.0);
+  for (int i = 0; i < ops; ++i) acc = acc + faulty::Real(1.0);
+  return linalg::AsDouble(acc);
+}
+
+// The injector tallies gap draws and clean runs in its own members and
+// folds them into the thread's shard once, when it is destroyed.  The
+// folded totals must equal a replay of the same gaps drawn outside the
+// injector, bucket for bucket — for the alias-table and inverse-CDF forms,
+// across a nested scope, and for the tiled engine's per-task injectors on
+// four workers.
+TEST(Telemetry, GapCountersAndCleanRunsMatchReplay) {
+  telemetry::SetCountersEnabled(true);
+  telemetry::ResetCounters();
+  GapReplay replay;
+  faulty::ContextStats stats;
+
+  core::WithFaultyFpu(PinnedSplitEnv(0.2, 11), [] { return AddChain(20000); }, &stats);
+  replay.Scope(0.2, 11, stats.faults_injected);
+  core::WithFaultyFpu(PinnedSplitEnv(1e-3, 12), [] { return AddChain(200000); }, &stats);
+  replay.Scope(1e-3, 12, stats.faults_injected);
+
+  faulty::ContextStats inner;
+  core::WithFaultyFpu(
+      PinnedSplitEnv(0.2, 13),
+      [&] {
+        AddChain(5000);
+        core::WithFaultyFpu(PinnedSplitEnv(1e-3, 14), [] { return AddChain(100000); },
+                            &inner);
+        return AddChain(5000);
+      },
+      &stats);
+  replay.Scope(0.2, 13, stats.faults_injected);
+  replay.Scope(1e-3, 14, inner.faults_injected);
+
+  // Rate 0.02 runs the alias table and the block engine's bulk clean runs.
+  const apps::LsqProblem problem = apps::MakeRandomLsqProblem(96, 48, 7);
+  linalg::TiledOptions options;
+  options.tile = 16;
+  options.threads = 4;
+  options.fault.inject = true;
+  options.fault.fault_rate = 0.02;
+  options.fault.bits = &faulty::SharedBitDistribution(faulty::BitModel::kBimodal);
+  options.fault.seed = 15;
+  options.fault.strategy = faulty::FaultInjector::Strategy::kSkipAhead;
+  options.fault.rng = faulty::RngMode::kSplit;
+  options.fault.model.temporal = faulty::Temporal::kTransient;
+  linalg::TiledLsqEngine<faulty::Real> engine;
+  linalg::Vector<double> x;
+  engine.SolveCholesky(problem.a, problem.b, options, &x);
+  const std::vector<faulty::ContextStats>& tasks = engine.task_stats();
+  ASSERT_FALSE(tasks.empty());
+  std::uint64_t tiled_faults = 0;
+  for (std::size_t id = 0; id < tasks.size(); ++id) {
+    ASSERT_EQ(tasks[id].faults_compare, 0u);  // replay assumes arithmetic faults
+    tiled_faults += tasks[id].faults_injected;
+    replay.Scope(0.02, faulty::DeriveStreamSeed(15, id), tasks[id].faults_injected);
+  }
+  EXPECT_GT(tiled_faults, 0u);
+
+  const telemetry::CounterSnapshot snap = telemetry::SnapshotCounters();
+  EXPECT_GT(replay.table_draws, 0u);
+  EXPECT_GT(replay.inv_cdf_draws, 0u);
+  EXPECT_EQ(snap.value(telemetry::Counter::kGapDrawsTable), replay.table_draws);
+  EXPECT_EQ(snap.value(telemetry::Counter::kGapDrawsInvCdf), replay.inv_cdf_draws);
+  EXPECT_EQ(snap.value(telemetry::Counter::kGapDrawsFused), 0u);
+  const int hist = static_cast<int>(telemetry::Histogram::kInjectorCleanRun);
+  for (int b = 0; b < telemetry::kHistogramBuckets; ++b) {
+    EXPECT_EQ(snap.histograms[hist][b], replay.clean_run[b]) << "bucket " << b;
+  }
+
+  // Counters off: the same scopes record nothing.
+  telemetry::ResetCounters();
+  telemetry::SetCountersEnabled(false);
+  core::WithFaultyFpu(PinnedSplitEnv(0.2, 11), [] { return AddChain(20000); });
+  engine.SolveCholesky(problem.a, problem.b, options, &x);
+  telemetry::SetCountersEnabled(true);
+  const telemetry::CounterSnapshot off = telemetry::SnapshotCounters();
+  for (int c = 0; c < telemetry::kNumCounters; ++c) EXPECT_EQ(off.counters[c], 0u) << c;
+  for (int b = 0; b < telemetry::kHistogramBuckets; ++b) {
+    EXPECT_EQ(off.histograms[hist][b], 0u) << "bucket " << b;
+  }
 }
 
 TEST(Telemetry, HistogramBucketsAreLog2) {
