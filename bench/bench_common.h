@@ -6,9 +6,14 @@
 // next to the binary, and (d) emits a BENCH_<name>.json perf report (wall
 // time, injector throughput, speedup vs. serial when requested).
 //
+// Every sweep is a fixed grid run by the campaign runner
+// (campaign::RunCampaign with adaptive=false), the same executor behind
+// robustify_cli and the result store.
+//
 // Common CLI flags (parsed by BenchContext):
 //   --trials=N         override the repetition count of every sweep
-//   --rates=a,b,c      override the fault-rate axis of every sweep
+//   --rates=a,b,c      override the fault-rate axis of every sweep (the
+//                      spec-file rate-axis format, campaign::ParseRateAxis)
 //   --threads=N        worker threads (default: ROBUSTIFY_THREADS, else all)
 //   --json=PATH        perf report path (default BENCH_<name>.json)
 //   --compare-serial   rerun each sweep on one thread and report the speedup
@@ -21,14 +26,17 @@
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "campaign/runner.h"
+#include "campaign/scenarios.h"
+#include "campaign/spec.h"
 #include "harness/csv.h"
 #include "harness/parallel.h"
 #include "harness/perf_report.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
 #include "harness/timer.h"
 #include "telemetry/metrics_export.h"
@@ -110,7 +118,9 @@ class BenchContext {
       if (arg.rfind("--trials=", 0) == 0) {
         options_.trials = ParseIntOrDie("--trials", arg.substr(9));
       } else if (arg.rfind("--rates=", 0) == 0) {
-        if (!ParseRates(arg.substr(8), &options_.rates) || options_.rates.empty()) {
+        try {
+          options_.rates = campaign::ParseRateAxis(arg.substr(8));
+        } catch (const std::exception&) {
           std::cerr << "malformed --rates list: " << arg.substr(8)
                     << " (expected comma-separated numbers)\n";
           std::exit(2);
@@ -155,38 +165,43 @@ class BenchContext {
     return options_.trials > 0 ? options_.trials : default_trials;
   }
 
-  // Applies the CLI overrides to a sweep configuration.
-  void Configure(harness::SweepConfig* sweep) const {
-    if (options_.trials > 0) sweep->trials = options_.trials;
-    if (!options_.rates.empty()) sweep->fault_rates = options_.rates;
-    if (options_.threads != 0) sweep->threads = options_.threads;
+  // Applies the --trials / --rates overrides to a fixed-grid spec.
+  campaign::CampaignSpec Configure(campaign::CampaignSpec spec) const {
+    if (options_.trials > 0) spec.fixed_trials = options_.trials;
+    if (!options_.rates.empty()) spec.fault_rates = options_.rates;
+    return spec;
   }
 
-  // Configures, times, and runs one sweep; records a perf section.  With
-  // --compare-serial the sweep is rerun on one thread to measure speedup.
-  std::vector<harness::Series> RunSweep(const std::string& label,
-                                        harness::SweepConfig sweep,
-                                        const std::vector<harness::NamedTrial>& trials) {
-    Configure(&sweep);
+  // Runner options for a fixed grid (every cell runs spec.fixed_trials
+  // trials) on the --threads workers.
+  campaign::RunnerOptions FixedGrid() const {
+    campaign::RunnerOptions runner;
+    runner.threads = options_.threads;
+    runner.adaptive = false;
+    return runner;
+  }
+
+  // Configures, times, and runs one fixed grid; records a perf section.
+  // With --compare-serial the grid is rerun on one thread to measure speedup.
+  std::vector<harness::Series> RunGrid(const std::string& label,
+                                       const campaign::CampaignSpec& spec,
+                                       const campaign::Scenario& scenario) {
+    const campaign::CampaignSpec grid = Configure(spec);
+    campaign::RunnerOptions runner = FixedGrid();
     harness::WallTimer timer;
-    std::vector<harness::Series> series = harness::RunFaultRateSweep(sweep, trials);
+    campaign::CampaignResult result = campaign::RunCampaign(grid, scenario, runner);
     harness::PerfSection section;
     section.name = label;
     section.wall_seconds = timer.Seconds();
-    for (const harness::Series& s : series) {
-      for (const harness::SeriesPoint& p : s.points) {
-        section.faulty_flops += p.summary.mean_faulty_flops * p.summary.trials;
-      }
-    }
+    section.faulty_flops = result.faulty_flops;
     if (section.wall_seconds > 0.0) {
       section.injector_mops_per_sec =
           section.faulty_flops / section.wall_seconds / 1e6;
     }
     if (options_.compare_serial) {
-      harness::SweepConfig serial = sweep;
-      serial.threads = 1;
+      runner.threads = 1;
       harness::WallTimer serial_timer;
-      harness::RunFaultRateSweep(serial, trials);
+      campaign::RunCampaign(grid, scenario, runner);
       section.serial_wall_seconds = serial_timer.Seconds();
       if (section.wall_seconds > 0.0) {
         section.speedup_vs_serial = section.serial_wall_seconds / section.wall_seconds;
@@ -199,7 +214,7 @@ class BenchContext {
     }
     std::cout << "\n";
     report_.sections.push_back(section);
-    return series;
+    return std::move(result.series);
   }
 
   // Records a bespoke timed section (benches without a sweep grid).
@@ -287,28 +302,6 @@ class BenchContext {
       std::exit(2);
     }
     return static_cast<int>(parsed);
-  }
-
-  // Strict comma-separated parse: any trailing garbage rejects the whole
-  // flag (a silently-truncated rate axis would still produce a plausible
-  // sweep and a wrong perf baseline).
-  static bool ParseRates(const std::string& csv, std::vector<double>* rates) {
-    rates->clear();
-    const char* p = csv.c_str();
-    while (*p != '\0') {
-      char* end = nullptr;
-      const double v = std::strtod(p, &end);
-      if (end == p) return false;
-      rates->push_back(v);
-      if (*end == ',') {
-        p = end + 1;
-      } else if (*end == '\0') {
-        p = end;
-      } else {
-        return false;
-      }
-    }
-    return !rates->empty();
   }
 
   BenchOptions options_;

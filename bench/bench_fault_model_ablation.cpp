@@ -15,6 +15,8 @@
 #include "apps/least_squares.h"
 #include "apps/sort_app.h"
 #include "bench/bench_common.h"
+#include "campaign/runner.h"
+#include "campaign/scenarios.h"
 #include "core/phases.h"
 #include "harness/trial.h"
 #include "signal/metrics.h"
@@ -48,9 +50,27 @@ int main(int argc, char** argv) {
 
   constexpr double kRate = 0.05;
   const int trials = ctx.TrialsOr(6);
-  const int threads = ctx.options().threads;
   const std::vector<double> input{0.9, 0.1, 0.6, 0.3, 0.7};
   const apps::LsqProblem problem = apps::MakeRandomLsqProblem(100, 10, 12);
+
+  campaign::Scenario scenario;
+  scenario.series.push_back({"sort", [&input](const core::FaultEnvironment& e) {
+    harness::TrialOutcome out;
+    const apps::RobustSortResult r = core::WithFaultyFpu(
+        e, [&] { return apps::RobustSort<faulty::Real>(input, apps::SortSgdAsSqs()); },
+        &out.fpu_stats);
+    out.success = r.valid && apps::IsSortedCopyOf(r.output, input);
+    return out;
+  }});
+  scenario.series.push_back({"lsq", [&problem](const core::FaultEnvironment& e) {
+    harness::TrialOutcome out;
+    const linalg::Vector<double> x = core::WithFaultyFpu(
+        e, [&] { return apps::SolveLsqSgd<faulty::Real>(problem, apps::LsqSgdAsLs()); },
+        &out.fpu_stats);
+    out.metric = signal::RelativeError(x, problem.exact);
+    out.success = out.metric < 1e-2;
+    return out;
+  }});
 
   const struct {
     faulty::Temporal temporal;
@@ -84,45 +104,27 @@ int main(int argc, char** argv) {
          {faulty::BitModel::kBimodal, faulty::BitModel::kUniform,
           faulty::BitModel::kMsbOnly, faulty::BitModel::kLsbOnly}) {
       for (const auto& classes : op_classes) {
-        core::FaultEnvironment env;
-        env.fault_rate = kRate;
-        env.bit_model = bit_model;
-        env.seed = 73;
-        env.model.temporal = temporal.temporal;
-        env.model.op_classes = classes.mask;
+        // One single-cell fixed grid per table row.
+        campaign::CampaignSpec spec;
+        spec.fault_rates = {kRate};
+        spec.fixed_trials = trials;
+        spec.base_seed = 73;
+        spec.bit_model = bit_model;
+        spec.model.temporal = temporal.temporal;
+        spec.model.op_classes = classes.mask;
         // Sticky models can hold an exponent bit down for whole solves:
         // bound each trial so every cell terminates promptly, and report
         // how often the cap (rather than a clean wrong answer) ended it.
-        env.guard.max_iterations = 20000;
-        env.guard.nonfinite_bailout = true;
+        spec.guard.max_iterations = 20000;
+        spec.guard.nonfinite_bailout = true;
 
-        const harness::TrialFn sort_fn = [&input](const core::FaultEnvironment& e) {
-          harness::TrialOutcome out;
-          const apps::RobustSortResult r = core::WithFaultyFpu(
-              e,
-              [&] { return apps::RobustSort<faulty::Real>(input, apps::SortSgdAsSqs()); },
-              &out.fpu_stats);
-          out.success = r.valid && apps::IsSortedCopyOf(r.output, input);
-          return out;
-        };
-        const harness::TrialSummary sort_summary =
-            harness::RunTrials(sort_fn, env, trials, threads);
-
-        const harness::TrialFn lsq_fn = [&problem](const core::FaultEnvironment& e) {
-          harness::TrialOutcome out;
-          const linalg::Vector<double> x = core::WithFaultyFpu(
-              e, [&] { return apps::SolveLsqSgd<faulty::Real>(problem, apps::LsqSgdAsLs()); },
-              &out.fpu_stats);
-          out.metric = signal::RelativeError(x, problem.exact);
-          out.success = out.metric < 1e-2;
-          return out;
-        };
-        const harness::TrialSummary lsq_summary =
-            harness::RunTrials(lsq_fn, env, trials, threads);
-
-        section_flops += (sort_summary.mean_faulty_flops +
-                          lsq_summary.mean_faulty_flops) *
-                         trials;
+        const campaign::CampaignResult result =
+            campaign::RunCampaign(spec, scenario, ctx.FixedGrid());
+        const harness::TrialSummary& sort_summary =
+            result.series[0].points[0].summary;
+        const harness::TrialSummary& lsq_summary =
+            result.series[1].points[0].summary;
+        section_flops += result.faulty_flops;
         // Trials the guard ended (divergence bailout or budget cap) rather
         // than a clean wrong answer.
         const int guarded = sort_summary.budget_exhausted +

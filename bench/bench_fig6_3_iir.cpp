@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
 
   const campaign::CampaignSpec& spec = campaign::RegistrySpec("fig6_3");
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  const auto series =
-      ctx.RunSweep("iir", campaign::ToSweepConfig(spec), scenario.series);
+  const auto series = ctx.RunGrid("iir", spec, scenario);
   bench::EmitSweep(scenario.title, series, scenario.value, scenario.value_label,
                    scenario.csv_name);
   return ctx.Finish();

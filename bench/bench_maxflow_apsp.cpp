@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   for (const char* name : {"maxflow", "apsp"}) {
     const campaign::CampaignSpec& spec = campaign::RegistrySpec(name);
     const campaign::Scenario scenario = campaign::BuildScenario(spec);
-    const auto series =
-        ctx.RunSweep(name, campaign::ToSweepConfig(spec), scenario.series);
+    const auto series = ctx.RunGrid(name, spec, scenario);
     bench::EmitSweep(scenario.title, series, scenario.value, scenario.value_label,
                      scenario.csv_name);
   }

@@ -17,6 +17,7 @@
 #include <limits>
 
 #include "bench/bench_common.h"
+#include "campaign/runner.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "telemetry/telemetry.h"
@@ -35,8 +36,10 @@ int main(int argc, char** argv) {
   spec.fault_rates = {1e-5, 1e-4, 1e-3};
   spec.fixed_trials = 10;
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  harness::SweepConfig sweep = campaign::ToSweepConfig(spec);
-  ctx.Configure(&sweep);
+  const campaign::CampaignSpec grid = ctx.Configure(spec);
+  const auto run_grid = [&] {
+    campaign::RunCampaign(grid, scenario, ctx.FixedGrid());
+  };
 
   constexpr int kPairs = 5;
   const double allowed_overhead = 0.02;
@@ -48,7 +51,7 @@ int main(int argc, char** argv) {
 
   // Warm-up: builds the shared sampling tables and faults in the thread
   // pool so neither arm pays first-run costs.
-  harness::RunFaultRateSweep(sweep, scenario.series);
+  run_grid();
 
   // Machine noise (shared CI runners, frequency scaling) can only inflate
   // the measured delta, never hide real overhead below it, so a single clean
@@ -63,12 +66,12 @@ int main(int argc, char** argv) {
     for (int pair = 0; pair < kPairs; ++pair) {
       telemetry::SetCountersEnabled(false);
       harness::WallTimer off_timer;
-      harness::RunFaultRateSweep(sweep, scenario.series);
+      run_grid();
       best_off = std::min(best_off, off_timer.Seconds());
 
       telemetry::SetCountersEnabled(true);
       harness::WallTimer on_timer;
-      harness::RunFaultRateSweep(sweep, scenario.series);
+      run_grid();
       best_on = std::min(best_on, on_timer.Seconds());
       ++pairs_measured;
     }

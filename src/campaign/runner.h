@@ -25,7 +25,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
-#include "harness/sweep.h"
+#include "harness/trial.h"
 
 namespace robustify::campaign {
 
@@ -42,8 +42,8 @@ struct CellStats {
 };
 
 struct CampaignResult {
-  // One Series per scenario series, one point per fault rate — the same
-  // shape the fixed sweep produces, so tables/CSV plumbing is shared.
+  // One Series per scenario series, one point per fault rate: the shape
+  // every table and CSV writer (harness/table.h, harness/csv.h) consumes.
   std::vector<harness::Series> series;
   std::vector<std::vector<CellStats>> cells;  // [series][rate]
   long total_trials = 0;     // accepted trials, all cells

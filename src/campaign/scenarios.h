@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "campaign/spec.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
+#include "harness/trial.h"
 
 namespace robustify::campaign {
 

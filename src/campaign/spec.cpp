@@ -393,15 +393,4 @@ const CampaignSpec& RegistrySpec(const std::string& name) {
                            ")");
 }
 
-harness::SweepConfig ToSweepConfig(const CampaignSpec& spec) {
-  harness::SweepConfig sweep;
-  sweep.fault_rates = spec.fault_rates;
-  sweep.trials = spec.fixed_trials;
-  sweep.base_seed = spec.base_seed;
-  sweep.bit_model = spec.bit_model;
-  sweep.model = spec.model;
-  sweep.guard = spec.guard;
-  return sweep;
-}
-
 }  // namespace robustify::campaign

@@ -21,7 +21,6 @@
 #include "core/guard.h"
 #include "faulty/bit_distribution.h"
 #include "faulty/fault_model.h"
-#include "harness/sweep.h"
 
 namespace robustify::campaign {
 
@@ -73,7 +72,7 @@ struct CampaignSpec {
 
   // Guarded trial executor (core/guard.h): per-trial flop/iteration budget
   // caps and the non-finite bailout.  Inactive by default.  When any guard
-  // field is set, campaign and sweep CSVs gain the outcome-taxonomy columns
+  // field is set, fixed and adaptive CSVs gain the outcome-taxonomy columns
   // (wrong/diverged/budget percentages) — schema is a pure function of the
   // spec.
   core::TrialGuard guard;
@@ -139,9 +138,5 @@ const CampaignSpec* FindRegistrySpec(const std::string& name);
 
 // Throws std::runtime_error (listing the valid names) when unknown.
 const CampaignSpec& RegistrySpec(const std::string& name);
-
-// The fixed-budget bridge the bench mains run through: the spec's axis,
-// fixed trial count, seed, and bit model as a harness sweep configuration.
-harness::SweepConfig ToSweepConfig(const CampaignSpec& spec);
 
 }  // namespace robustify::campaign

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/sweep.h"
+#include "harness/trial.h"
 
 namespace robustify::harness {
 

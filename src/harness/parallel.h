@@ -1,17 +1,16 @@
-// Small thread pool + parallel-for for the sweep harness, the campaign
-// scheduler and the tiled solvers.
+// Small thread pool + parallel-for for the campaign scheduler and the tiled
+// solvers.
 //
 // A trial is the unit of Monte-Carlo work: it builds its own inputs from
 // its own deterministic seed and runs on the thread-local FaultInjector, so
 // trials never share mutable state.  ParallelFor fans an index range across
 // a pool of workers pulling from one atomic counter (good load balancing:
-// trials at different fault rates cost different amounts).  The fault-rate
-// sweep indexes its (series, rate, repetition) grid directly; the campaign
-// runner instead starts one long-lived scheduler loop per worker
+// trials at different fault rates cost different amounts).  The campaign
+// runner starts one long-lived scheduler loop per worker
 // (campaign/runner.cpp), because which trials exist depends on the
-// outcomes committed so far.  Either way callers reduce the per-trial
-// results serially in a fixed order — which is what makes output
-// byte-identical for any thread count.
+// outcomes committed so far, and reduces the per-trial results serially in
+// a fixed order — which is what makes output byte-identical for any thread
+// count.
 #pragma once
 
 #include <condition_variable>

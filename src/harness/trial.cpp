@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/guard.h"
-#include "harness/parallel.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -32,16 +31,15 @@ TrialOutcome RunSingleTrial(const TrialFn& fn, core::FaultEnvironment env,
   return outcome;
 }
 
-TrialSummary SummarizeOutcomes(const TrialOutcome* outcomes, int count) {
-  const int trials = count > 0 ? count : 0;
+TrialSummary SummarizeOutcomes(const std::vector<TrialOutcome>& outcomes) {
+  const int trials = static_cast<int>(outcomes.size());
   TrialSummary summary;
   summary.trials = trials;
   std::vector<double> metrics;
   metrics.reserve(static_cast<std::size_t>(trials));
   double finite_sum = 0.0;
   int finite_count = 0;
-  for (int t = 0; t < trials; ++t) {
-    const TrialOutcome& outcome = outcomes[t];
+  for (const TrialOutcome& outcome : outcomes) {
     if (outcome.success) ++summary.successes;
     // Re-anchor the verdict on the success flag so outcomes that never
     // passed through RunSingleTrial (hand-built in tests, replayed from a
@@ -77,19 +75,6 @@ TrialSummary SummarizeOutcomes(const TrialOutcome* outcomes, int count) {
   }
   summary.mean_metric = finite_count > 0 ? finite_sum / finite_count : 0.0;
   return summary;
-}
-
-TrialSummary SummarizeOutcomes(const std::vector<TrialOutcome>& outcomes) {
-  return SummarizeOutcomes(outcomes.data(), static_cast<int>(outcomes.size()));
-}
-
-TrialSummary RunTrials(const TrialFn& fn, core::FaultEnvironment env, int trials,
-                       int threads) {
-  if (trials < 0) trials = 0;
-  std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(trials));
-  ParallelFor(trials, threads,
-              [&](int t) { outcomes[static_cast<std::size_t>(t)] = RunSingleTrial(fn, env, t); });
-  return SummarizeOutcomes(outcomes);
 }
 
 }  // namespace robustify::harness

@@ -1,7 +1,7 @@
 // Trial primitives: run one robustness experiment many times at a fixed
 // fault environment and summarize success rate and quality metrics.
 //
-// Scratch memory: the trial is the harness's unit of work, and each sweep
+// Scratch memory: the trial is the harness's unit of work, and each campaign
 // worker thread runs trials back to back, so hot-path scratch is owned at
 // the thread level — app kernels called inside a TrialFn draw their solver
 // buffers from opt::ThreadWorkspace<T>() (see opt/workspace.h), which stays
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/fault_env.h"
@@ -47,21 +48,31 @@ struct TrialSummary {
 
 // Runs repetition `trial_index` of `fn`: env.seed = env.seed + trial_index,
 // so inputs and fault sequences differ per trial but are paired across
-// fault rates.  This is the unit of work the parallel sweep fans out.
+// fault rates.  This is the unit of work the campaign scheduler
+// (campaign/runner.h) hands its workers.
 TrialOutcome RunSingleTrial(const TrialFn& fn, core::FaultEnvironment env,
                             int trial_index);
 
 // Deterministic in-order reduction of per-trial outcomes (the accumulation
-// order is fixed by the outcome order, never by thread scheduling).  The
-// pointer+count form lets the sweep reduce each cell in place out of its
-// preallocated grid.
-TrialSummary SummarizeOutcomes(const TrialOutcome* outcomes, int count);
+// order is fixed by the outcome order, never by thread scheduling).
 TrialSummary SummarizeOutcomes(const std::vector<TrialOutcome>& outcomes);
 
-// Runs `trials` trials across `threads` workers (see ResolveThreadCount in
-// harness/parallel.h; the default keeps the historical serial behavior).
-// Results are identical for every thread count.
-TrialSummary RunTrials(const TrialFn& fn, core::FaultEnvironment env, int trials,
-                       int threads = 1);
+// One figure series: a trial function under its legend name...
+struct NamedTrial {
+  std::string name;
+  TrialFn fn;
+};
+
+// ...and its result, one summarized cell per fault rate (the x-axis of
+// every figure in the paper's Chapter 6).
+struct SeriesPoint {
+  double fault_rate = 0.0;
+  TrialSummary summary;
+};
+
+struct Series {
+  std::string name;
+  std::vector<SeriesPoint> points;
+};
 
 }  // namespace robustify::harness

@@ -21,7 +21,6 @@ constexpr const char* kAttrCategoryNames[kNumAttrCategories] = {
     "solve.cgne",
     "phase",
     "checkpoint.flush",
-    "sweep",
     "query",
     "stats",
     "reduce",

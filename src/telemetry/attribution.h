@@ -51,7 +51,6 @@ enum class AttrCategory : int {
   kSolveCgne,
   kPhase,
   kCheckpointFlush,
-  kSweep,
   kQuery,
   kStats,
   kReduce,

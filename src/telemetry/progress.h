@@ -1,12 +1,12 @@
 // Flight-recorder telemetry, part 3: the --progress stderr heartbeat.
 //
-// Long sweeps and campaigns are silent until their final table; with
+// Long campaigns are silent until their final table; with
 // --progress the runner emits a throttled heartbeat line to stderr:
 //
 //   [progress] campaign: 12/35 cells, 480 trials, 123.4 trials/s, ETA 8.2s
 //
-// Units are trials: grid trials for a sweep, committed trials against the
-// remaining budget for a campaign (an upper bound when cells settle early).
+// Units are committed trials against the campaign's remaining budget (an
+// upper bound when adaptive cells settle early; exact for a fixed grid).
 // The ETA comes from an EWMA of per-unit completion intervals, so trials of
 // wildly unequal cost converge onto a usable estimate instead of
 // whipsawing on each cheap one.  Heartbeats go only to

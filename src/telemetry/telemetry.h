@@ -5,14 +5,14 @@
 // store to the calling thread's own slot — no atomic RMW, no cache-line
 // ping-pong, no allocation (shards are thread_local objects with static
 // storage).  SnapshotCounters() merges the live shards with the folded
-// totals of threads that have already exited (sweep worker pools are
+// totals of threads that have already exited (campaign worker pools are
 // created and joined per ParallelFor, so most shards retire quickly).
 //
 // Determinism contract: telemetry observes, it never participates.  No
 // counter or histogram touches the simulation RNG, reorders a fault
-// stream, or feeds back into any result — sweep and campaign CSVs are
-// byte-identical with counters disabled, enabled, and with full tracing on,
-// at any thread count (tests/test_telemetry.cpp).  Counter totals are a
+// stream, or feeds back into any result — fixed and adaptive campaign
+// CSVs are byte-identical with counters disabled, enabled, and with full
+// tracing on, at any thread count (tests/test_telemetry.cpp).  Counter totals are a
 // pure function of the work performed, so they too are thread-count
 // independent.
 //

@@ -7,13 +7,12 @@
 //   campaign            one RunCampaign invocation
 //     pool.wait         the calling thread parked on the worker pool
 //     reduce            the serial in-order reduction
-//   trial               one RunSingleTrial (campaign worker or sweep)
+//   trial               one RunSingleTrial (campaign worker)
 //     solve.sgd         one MinimizeSgd descent
 //       phase           one phase-schedule segment
 //     solve.cgls        one restarted-CGLS solve
 //   sched.wait          a campaign worker parked with no trial to claim
 //   checkpoint.flush    one journal append of committed trials
-//   sweep               one RunFaultRateSweep grid
 //
 // plus sampled "fault" instant events: every Nth injected fault per thread
 // (a deterministic modulo counter — telemetry consumes NO simulation RNG,

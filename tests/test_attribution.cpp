@@ -5,8 +5,9 @@
 //     sum to exactly its root span's total — every instant inside the root
 //     is attributed to exactly one innermost span (the ISSUE's "child
 //     self-times sum to <= parent total" holds with equality per thread);
-//   * sweep and campaign CSVs are byte-identical with attribution off and
-//     on, at threads 1/2/8 — the ledger observes, it never participates;
+//   * fixed-grid and adaptive campaign CSVs are byte-identical with
+//     attribution off and on, at threads 1/2/8 — the ledger observes, it
+//     never participates;
 //   * attribution is off by default and costs nothing until enabled;
 //   * compiled out (-DROBUSTIFY_TELEMETRY=OFF) the whole API is inert.
 #include <gtest/gtest.h>
@@ -24,10 +25,9 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
-#include "harness/csv.h"
-#include "harness/sweep.h"
 #include "telemetry/attribution.h"
 #include "telemetry/trace.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -52,27 +52,11 @@ harness::TrialFn SortTrial() {
   };
 }
 
-std::string CsvBytes(const std::vector<harness::Series>& series,
-                     const std::string& tag) {
-  const std::string path =
-      ::testing::TempDir() + "/robustify_attr_" + tag + ".csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
-}
-
 std::string SweepCsvBytes(int threads, const std::string& tag) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.threads = threads;
-  const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,SQS", SortTrial()}});
-  return CsvBytes(series, tag);
+  return testutil::CsvBytes(
+      testutil::RunFixedGrid(testutil::FixedSpec({0.0, 0.05}, 4, 77),
+                             {{"SGD+AS,SQS", SortTrial()}}, threads),
+      "attr_" + tag);
 }
 
 std::string CampaignCsvBytes(int threads, const std::string& tag) {
@@ -86,7 +70,7 @@ std::string CampaignCsvBytes(int threads, const std::string& tag) {
   options.threads = threads;
   const campaign::CampaignResult result =
       campaign::RunCampaign(spec, scenario, options);
-  return CsvBytes(result.series, tag);
+  return testutil::CsvBytes(result.series, "attr_" + tag);
 }
 
 // The ledger must never change published bytes, enabled or not, at any
@@ -126,7 +110,7 @@ TEST(Attribution, DisabledByDefaultAndSnapshotEmptyUntilEnabled) {
   telemetry::SetAttributionEnabled(false);
   telemetry::ResetAttribution();
   EXPECT_FALSE(telemetry::AttributionActive());
-  { telemetry::SpanScope span("sweep"); }
+  { telemetry::SpanScope span("campaign"); }
   const telemetry::AttributionSnapshot snapshot =
       telemetry::SnapshotAttribution();
   for (const auto& ledger : snapshot.threads) {
@@ -246,7 +230,7 @@ TEST(Attribution, ResetClearsEveryLedger) {
   SweepCsvBytes(2, "reset_t2");
   telemetry::SetAttributionEnabled(false);
   EXPECT_GT(telemetry::SnapshotAttribution()
-                .total(telemetry::AttrCategory::kSweep)
+                .total(telemetry::AttrCategory::kCampaign)
                 .count,
             0u);
   telemetry::ResetAttribution();
@@ -271,7 +255,7 @@ TEST(Attribution, ReportFormatAndFileWriter) {
   telemetry::FormatAttributionReport(telemetry::SnapshotAttribution(), report);
   const std::string text = report.str();
   EXPECT_NE(text.find("# wall-time attribution"), std::string::npos);
-  EXPECT_NE(text.find("sweep"), std::string::npos);
+  EXPECT_NE(text.find("campaign"), std::string::npos);
   EXPECT_NE(text.find("trial"), std::string::npos);
   EXPECT_NE(text.find("merged"), std::string::npos);
 
@@ -293,7 +277,7 @@ TEST(Attribution, ReportFormatAndFileWriter) {
 TEST(Attribution, CompiledOutApiIsInert) {
   telemetry::SetAttributionEnabled(true);
   EXPECT_FALSE(telemetry::AttributionActive());
-  { telemetry::SpanScope span("sweep"); }
+  { telemetry::SpanScope span("campaign"); }
   const telemetry::AttributionSnapshot snapshot =
       telemetry::SnapshotAttribution();
   EXPECT_TRUE(snapshot.threads.empty());

@@ -13,9 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,12 +23,11 @@
 #include "apps/least_squares.h"
 #include "apps/svm_app.h"
 #include "core/fault_env.h"
-#include "harness/csv.h"
-#include "harness/sweep.h"
 #include "linalg/lsq.h"
 #include "opt/cg.h"
 #include "opt/workspace.h"
 #include "signal/signals.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -286,19 +283,10 @@ harness::TrialFn CglsTrial(Engine engine, const apps::LsqProblem* problem) {
 
 std::string SweepCsvBytes(const std::vector<harness::NamedTrial>& trials,
                           const std::string& tag) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 1e-5, 1e-3, 0.05};
-  config.trials = 5;
-  config.base_seed = 71;
-  config.threads = 1;
-  const auto series = harness::RunFaultRateSweep(config, trials);
-  const std::string path = ::testing::TempDir() + "/robustify_engine_" + tag + ".csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
+  return testutil::CsvBytes(
+      testutil::RunFixedGrid(testutil::FixedSpec({0.0, 1e-5, 1e-3, 0.05}, 5, 71),
+                             trials, 1),
+      "engine_" + tag);
 }
 
 // The headline guarantee: whole sweep CSVs (success rates, median metrics,

@@ -23,9 +23,9 @@
 #include "campaign/runner.h"
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
-#include "harness/csv.h"
 #include "harness/trial.h"
 #include "telemetry/telemetry.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -390,11 +390,7 @@ std::string ReadFile(const std::string& path) {
 
 std::string CampaignCsvBytes(const campaign::CampaignResult& result,
                              const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "/robustify_campaign_" + tag + ".csv";
-  harness::WriteSweepCsv(path, result.series);
-  const std::string bytes = ReadFile(path);
-  std::remove(path.c_str());
-  return bytes;
+  return testutil::CsvBytes(result.series, "campaign_" + tag);
 }
 
 // The adaptive run of a cell is an exact prefix of the fixed run: same

@@ -23,9 +23,9 @@
 #include "core/guard.h"
 #include "faulty/fault_injector.h"
 #include "faulty/fault_model.h"
-#include "harness/sweep.h"
 #include "harness/trial.h"
 #include "linalg/vector.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -343,20 +343,15 @@ TEST(EngineEquivalence, StickyModelsBitIdenticalAcrossEngines) {
   }
 }
 
-TEST(EngineEquivalence, StuckSweepThreadCountInvariant) {
+TEST(EngineEquivalence, StuckGridThreadCountInvariant) {
   FaultModel model;
   model.temporal = Temporal::kStuckAt;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.02, 0.2};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.model = model;
+  campaign::CampaignSpec spec = testutil::FixedSpec({0.0, 0.02, 0.2}, 4, 77);
+  spec.model = model;
   const std::vector<harness::NamedTrial> trials = {
       {"sort", ModelSortTrial(model, Strategy::kSkipAhead, faulty::Engine::kBlock)}};
-  config.threads = 1;
-  const auto serial = harness::RunFaultRateSweep(config, trials);
-  config.threads = 4;
-  const auto parallel = harness::RunFaultRateSweep(config, trials);
+  const auto serial = testutil::RunFixedGrid(spec, trials, 1);
+  const auto parallel = testutil::RunFixedGrid(spec, trials, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t s = 0; s < serial.size(); ++s) {
     ASSERT_EQ(serial[s].points.size(), parallel[s].points.size());

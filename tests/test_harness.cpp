@@ -1,10 +1,10 @@
-// Harness: trials, sweeps, table extraction, CSV writing, and the
-// golden-CSV determinism guarantees (thread-count and injector-strategy
-// invariance of sweep output).
+// Harness: trials, fixed fault-rate grids (run by the campaign runner),
+// table extraction, CSV writing, and the golden-CSV determinism guarantees
+// (thread-count and injector-strategy invariance of grid output).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
@@ -14,13 +14,16 @@
 #include "apps/sort_app.h"
 #include "core/fault_env.h"
 #include "harness/csv.h"
-#include "harness/sweep.h"
 #include "harness/table.h"
 #include "harness/trial.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
 using namespace robustify;
+using testutil::CsvBytes;
+using testutil::FixedSpec;
+using testutil::RunFixedGrid;
 
 harness::TrialFn FailAboveRate(double cutoff) {
   return [cutoff](const core::FaultEnvironment& env) {
@@ -31,7 +34,8 @@ harness::TrialFn FailAboveRate(double cutoff) {
   };
 }
 
-TEST(RunTrials, CountsSuccessesAndVariesSeeds) {
+// One cell of a fixed grid runs trial t at seed base_seed + t.
+TEST(FixedGrid, CountsSuccessesAndVariesSeeds) {
   std::vector<std::uint64_t> seeds;
   const harness::TrialFn fn = [&seeds](const core::FaultEnvironment& env) {
     seeds.push_back(env.seed);
@@ -40,35 +44,33 @@ TEST(RunTrials, CountsSuccessesAndVariesSeeds) {
     out.metric = static_cast<double>(env.seed);
     return out;
   };
-  core::FaultEnvironment env;
-  env.seed = 10;
-  const harness::TrialSummary s = harness::RunTrials(fn, env, 4);
+  const harness::TrialSummary s =
+      RunFixedGrid(FixedSpec({0.0}, 4, 10), {{"seeds", fn}}, 1)[0]
+          .points[0]
+          .summary;
   EXPECT_EQ(s.trials, 4);
   EXPECT_EQ(s.successes, 2);
   EXPECT_DOUBLE_EQ(s.success_rate_pct, 50.0);
   EXPECT_EQ(seeds, (std::vector<std::uint64_t>{10, 11, 12, 13}));
 }
 
-TEST(RunTrials, NonFiniteMetricsCountAsInfinityInMedian) {
+TEST(FixedGrid, NonFiniteMetricsCountAsInfinityInMedian) {
   int call = 0;
   const harness::TrialFn fn = [&call](const core::FaultEnvironment&) {
     harness::TrialOutcome out;
     out.metric = (call++ % 2 == 0) ? std::nan("") : 1.0;
     return out;
   };
-  core::FaultEnvironment env;
-  const harness::TrialSummary s = harness::RunTrials(fn, env, 4);
+  const harness::TrialSummary s =
+      RunFixedGrid(FixedSpec({0.0}, 4, 1), {{"nan", fn}}, 1)[0].points[0].summary;
   EXPECT_TRUE(std::isinf(s.median_metric));  // upper median of {1, 1, inf, inf}
   EXPECT_DOUBLE_EQ(s.mean_metric, 1.0);      // mean over finite metrics
 }
 
 TEST(Sweep, RunsEverySeriesAtEveryRate) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.1, 0.2};
-  config.trials = 3;
-  config.base_seed = 1;
-  const auto series = harness::RunFaultRateSweep(
-      config, {{"lenient", FailAboveRate(0.15)}, {"strict", FailAboveRate(0.05)}});
+  const auto series = RunFixedGrid(
+      FixedSpec({0.0, 0.1, 0.2}, 3, 1),
+      {{"lenient", FailAboveRate(0.15)}, {"strict", FailAboveRate(0.05)}}, 0);
   ASSERT_EQ(series.size(), 2u);
   ASSERT_EQ(series[0].points.size(), 3u);
   EXPECT_DOUBLE_EQ(series[0].points[1].summary.success_rate_pct, 100.0);
@@ -76,11 +78,8 @@ TEST(Sweep, RunsEverySeriesAtEveryRate) {
 }
 
 TEST(Table, PrintsOneRowPerRateAndOneColumnPerSeries) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.5};
-  config.trials = 2;
-  const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,LS", FailAboveRate(0.25)}});
+  const auto series = RunFixedGrid(FixedSpec({0.0, 0.5}, 2, 1),
+                                   {{"SGD+AS,LS", FailAboveRate(0.25)}}, 0);
   std::ostringstream os;
   harness::PrintSweepTable(os, "title", series, harness::TableValue::kSuccessRatePct,
                            "success (%)");
@@ -92,18 +91,11 @@ TEST(Table, PrintsOneRowPerRateAndOneColumnPerSeries) {
 }
 
 TEST(Csv, WritesQuotedHeadersAndThrowsOnBadPath) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0};
-  config.trials = 1;
-  const auto series =
-      harness::RunFaultRateSweep(config, {{"SGD+AS,LS", FailAboveRate(1.0)}});
-  const std::string path = ::testing::TempDir() + "/robustify_test_sweep.csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
+  const auto series = RunFixedGrid(FixedSpec({0.0}, 1, 1),
+                                   {{"SGD+AS,LS", FailAboveRate(1.0)}}, 0);
+  const std::string bytes = CsvBytes(series, "test_csv");
+  const std::string header = bytes.substr(0, bytes.find('\n'));
   EXPECT_NE(header.find("\"SGD+AS,LS success_pct\""), std::string::npos);
-  std::remove(path.c_str());
 
   EXPECT_THROW(harness::WriteSweepCsv("/nonexistent_dir_zzz/x.csv", series),
                std::runtime_error);
@@ -133,37 +125,18 @@ harness::TrialFn SortTrial(faulty::FaultInjector::Strategy strategy) {
   };
 }
 
-std::string SweepCsvBytes(const harness::SweepConfig& config,
-                          const std::vector<harness::NamedTrial>& trials,
-                          const std::string& tag) {
-  const auto series = harness::RunFaultRateSweep(config, trials);
-  const std::string path = ::testing::TempDir() + "/robustify_golden_" + tag + ".csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
-}
-
-// The sweep contract: output is a pure function of (config, trial fns) —
+// The grid contract: output is a pure function of (spec, trial fns) —
 // never of the worker count.  Byte-identical CSVs for 1, 2, and 8 threads,
 // at rate 0 and under heavy fault injection alike.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
   using Strategy = faulty::FaultInjector::Strategy;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 33;
+  const campaign::CampaignSpec spec = FixedSpec({0.0, 0.05}, 4, 33);
   const std::vector<harness::NamedTrial> trials = {
       {"SGD+AS,SQS", SortTrial(Strategy::kAuto)}};
 
-  config.threads = 1;
-  const std::string one = SweepCsvBytes(config, trials, "t1");
-  config.threads = 2;
-  const std::string two = SweepCsvBytes(config, trials, "t2");
-  config.threads = 8;
-  const std::string eight = SweepCsvBytes(config, trials, "t8");
+  const std::string one = CsvBytes(RunFixedGrid(spec, trials, 1), "golden_t1");
+  const std::string two = CsvBytes(RunFixedGrid(spec, trials, 2), "golden_t2");
+  const std::string eight = CsvBytes(RunFixedGrid(spec, trials, 8), "golden_t8");
 
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, two);
@@ -172,19 +145,16 @@ TEST(Sweep, GoldenCsvByteIdenticalAcrossThreadCounts) {
 
 // At rate 0 no strategy ever samples a gap or flips a bit, so the injector
 // implementation must be invisible: skip-ahead and the per-op oracle have
-// to produce byte-identical sweep output.
+// to produce byte-identical grid output.
 TEST(Sweep, GoldenCsvByteIdenticalAcrossStrategiesAtRateZero) {
   using Strategy = faulty::FaultInjector::Strategy;
-  harness::SweepConfig config;
-  config.fault_rates = {0.0};
-  config.trials = 3;
-  config.base_seed = 44;
-  config.threads = 1;
-
-  const std::string skip = SweepCsvBytes(
-      config, {{"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}}, "skip");
-  const std::string perop = SweepCsvBytes(
-      config, {{"SGD+AS,SQS", SortTrial(Strategy::kPerOp)}}, "perop");
+  const campaign::CampaignSpec spec = FixedSpec({0.0}, 3, 44);
+  const std::string skip = CsvBytes(
+      RunFixedGrid(spec, {{"SGD+AS,SQS", SortTrial(Strategy::kSkipAhead)}}, 1),
+      "golden_skip");
+  const std::string perop = CsvBytes(
+      RunFixedGrid(spec, {{"SGD+AS,SQS", SortTrial(Strategy::kPerOp)}}, 1),
+      "golden_perop");
 
   EXPECT_FALSE(skip.empty());
   EXPECT_EQ(skip, perop);

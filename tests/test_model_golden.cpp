@@ -1,10 +1,10 @@
 // Regression lock for the default fault model (transient single-bit,
 // arithmetic + comparison op classes): the fault-model axis added for richer
 // models must leave the historical behavior untouched.  These tests compare
-// sweep and campaign CSV bytes, and a digest of the raw injector fault
-// stream, against goldens captured from the pre-fault-model binaries —
-// under both injector strategies and both kernel engines, across thread
-// counts.
+// fixed-grid and adaptive campaign CSV bytes, and a digest of the raw
+// injector fault stream, against goldens captured from the pre-fault-model
+// binaries — under both injector strategies and both kernel engines, across
+// thread counts.
 //
 // Regenerating (only when the default stream is *intentionally* changed):
 //   ROBUSTIFY_REGEN_GOLDEN=1 ./robustify_tests --gtest_filter='ModelGolden.*'
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -27,9 +26,8 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
-#include "harness/csv.h"
-#include "harness/sweep.h"
 #include "harness/trial.h"
+#include "tests/fixed_grid.h"
 
 #ifndef ROBUSTIFY_SOURCE_DIR
 #error "robustify_tests must be compiled with ROBUSTIFY_SOURCE_DIR"
@@ -98,21 +96,12 @@ harness::TrialFn SortTrial(Strategy strategy, faulty::Engine engine) {
   };
 }
 
+// The model_default_sweep_* goldens: a fixed grid, 4 trials per cell.
 std::string SweepCsvBytes(Strategy strategy, faulty::Engine engine, int threads) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05, 0.25};
-  config.trials = 4;
-  config.base_seed = 33;
-  config.threads = threads;
-  const auto series = harness::RunFaultRateSweep(
-      config, {{"SGD+AS,SQS", SortTrial(strategy, engine)}});
-  const std::string path = ::testing::TempDir() + "/robustify_model_golden.csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
+  return testutil::CsvBytes(
+      testutil::RunFixedGrid(testutil::FixedSpec({0.0, 0.05, 0.25}, 4, 33),
+                             {{"SGD+AS,SQS", SortTrial(strategy, engine)}}, threads),
+      "model_golden");
 }
 
 TEST(ModelGolden, SweepCsvMatchesPreModelBinaries) {
@@ -152,16 +141,8 @@ std::string CampaignCsvBytes(bool adaptive, int threads) {
   campaign::RunnerOptions options;
   options.threads = threads;
   options.adaptive = adaptive;
-  const campaign::CampaignResult result =
-      campaign::RunCampaign(spec, scenario, options);
-
-  const std::string path = ::testing::TempDir() + "/robustify_model_campaign.csv";
-  harness::WriteSweepCsv(path, result.series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
+  return testutil::CsvBytes(campaign::RunCampaign(spec, scenario, options).series,
+                            "model_campaign");
 }
 
 TEST(ModelGolden, CampaignCsvMatchesPreModelBinaries) {

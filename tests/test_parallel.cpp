@@ -1,6 +1,6 @@
 // Parallel harness: thread pool, parallel-for, thread-count resolution, and
-// the determinism guarantee — sweep output is identical for every worker
-// count.
+// the determinism guarantee — fixed-grid output is identical for every
+// worker count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,8 @@
 #include "core/fault_env.h"
 #include "faulty/real.h"
 #include "harness/parallel.h"
-#include "harness/sweep.h"
 #include "harness/trial.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -170,13 +170,10 @@ bool SummariesIdentical(const harness::TrialSummary& a, const harness::TrialSumm
 
 TEST(Sweep, ByteIdenticalResultsForEveryThreadCount) {
   const auto run = [](int threads) {
-    harness::SweepConfig config;
-    config.fault_rates = {0.0, 0.01, 0.3};  // spans skip-ahead and per-op
-    config.trials = 6;
-    config.base_seed = 17;
-    config.threads = threads;
-    return harness::RunFaultRateSweep(
-        config, {{"a", FaultyAccumulateTrial()}, {"b", FaultyAccumulateTrial()}});
+    // The rate axis spans skip-ahead and per-op.
+    return testutil::RunFixedGrid(
+        testutil::FixedSpec({0.0, 0.01, 0.3}, 6, 17),
+        {{"a", FaultyAccumulateTrial()}, {"b", FaultyAccumulateTrial()}}, threads);
   };
   const auto serial = run(1);
   for (const int threads : {2, 8}) {
@@ -195,14 +192,15 @@ TEST(Sweep, ByteIdenticalResultsForEveryThreadCount) {
   }
 }
 
-TEST(RunTrials, ParallelMatchesSerial) {
-  core::FaultEnvironment env;
-  env.fault_rate = 0.02;
-  env.seed = 5;
-  const harness::TrialFn fn = FaultyAccumulateTrial();
-  const harness::TrialSummary serial = harness::RunTrials(fn, env, 8, 1);
-  const harness::TrialSummary parallel = harness::RunTrials(fn, env, 8, 4);
-  EXPECT_TRUE(SummariesIdentical(serial, parallel));
+// A single cell: its trials alone are spread over the workers.
+TEST(FixedGrid, ParallelMatchesSerial) {
+  const auto run = [](int threads) {
+    return testutil::RunFixedGrid(testutil::FixedSpec({0.02}, 8, 5),
+                                  {{"acc", FaultyAccumulateTrial()}}, threads)[0]
+        .points[0]
+        .summary;
+  };
+  EXPECT_TRUE(SummariesIdentical(run(1), run(4)));
 }
 
 }  // namespace

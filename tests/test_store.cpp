@@ -31,11 +31,11 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
-#include "harness/csv.h"
 #include "service/query_service.h"
 #include "service/surrogate.h"
 #include "store/result_store.h"
 #include "telemetry/telemetry.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -95,13 +95,7 @@ std::string TempPath(const std::string& tag) {
 
 std::string CsvBytes(const std::vector<harness::Series>& series,
                      const std::string& tag) {
-  const std::string path = TempPath(tag) + ".csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
+  return testutil::CsvBytes(series, "store_" + tag);
 }
 
 // Runs the spec unsharded (journal-free) and returns its CSV bytes.

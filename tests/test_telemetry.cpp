@@ -1,9 +1,9 @@
 // Flight-recorder telemetry: the observe-only contract and the registry.
 //
 // The load-bearing guarantees:
-//   * sweep and campaign CSVs are byte-identical with counters disabled,
-//     enabled, and with full tracing on, at any thread count — telemetry
-//     never consumes simulation RNG or reorders a fault stream;
+//   * fixed-grid and adaptive campaign CSVs are byte-identical with counters
+//     disabled, enabled, and with full tracing on, at any thread count —
+//     telemetry never consumes simulation RNG or reorders a fault stream;
 //   * counter totals are a pure function of the work performed, so they are
 //     thread-count independent (shards merge losslessly across the pool
 //     workers' exits);
@@ -31,19 +31,19 @@
 #include "core/fault_env.h"
 #include "faulty/gap_sampler.h"
 #include "faulty/lfsr.h"
-#include "harness/csv.h"
 #include "harness/parallel.h"
-#include "harness/sweep.h"
 #include "linalg/scalar.h"
 #include "linalg/tiled.h"
 #include "service/query_service.h"
 #include "store/result_store.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
 using namespace robustify;
+using testutil::CsvBytes;
 
 harness::TrialFn SortTrial() {
   return [](const core::FaultEnvironment& base) {
@@ -64,31 +64,11 @@ harness::TrialFn SortTrial() {
   };
 }
 
-harness::SweepConfig SmallSweep(int threads) {
-  harness::SweepConfig config;
-  config.fault_rates = {0.0, 0.05};
-  config.trials = 4;
-  config.base_seed = 77;
-  config.threads = threads;
-  return config;
-}
-
-std::string CsvBytes(const std::vector<harness::Series>& series,
-                     const std::string& tag) {
-  const std::string path =
-      ::testing::TempDir() + "/robustify_telemetry_" + tag + ".csv";
-  harness::WriteSweepCsv(path, series);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::remove(path.c_str());
-  return buffer.str();
-}
-
+// Small fixed grid: real sort trials at rate 0 and at a heavy rate.
 std::string SweepCsvBytes(int threads, const std::string& tag) {
-  const auto series = harness::RunFaultRateSweep(
-      SmallSweep(threads), {{"SGD+AS,SQS", SortTrial()}});
-  return CsvBytes(series, tag);
+  return CsvBytes(testutil::RunFixedGrid(testutil::FixedSpec({0.0, 0.05}, 4, 77),
+                                         {{"SGD+AS,SQS", SortTrial()}}, threads),
+                  "telemetry_" + tag);
 }
 
 // Small adaptive campaign (the cli-smoke shape): fig6_6 on a reduced axis.
@@ -103,7 +83,7 @@ std::string CampaignCsvBytes(int threads, const std::string& tag) {
   options.threads = threads;
   const campaign::CampaignResult result =
       campaign::RunCampaign(spec, scenario, options);
-  return CsvBytes(result.series, tag);
+  return CsvBytes(result.series, "telemetry_" + tag);
 }
 
 // Telemetry must be observe-only: identical CSV bytes with counters off,
@@ -177,19 +157,17 @@ TEST(Telemetry, CounterTotalsThreadCountInvariant) {
 
 // The fault-model and guard counters (faults by op class, windows opened,
 // guard-trip verdicts) obey the same shard-merge contract as the rest: a
-// sticky-model sweep under tight guard budgets produces identical totals at
+// sticky-model grid under tight guard budgets produces identical totals at
 // every thread count, and actually exercises each new counter.
 TEST(Telemetry, ModelAndGuardCountersThreadCountInvariant) {
   telemetry::SetCountersEnabled(true);
   const auto run = [](int threads) {
-    harness::SweepConfig config = SmallSweep(threads);
-    config.fault_rates = {0.05, 0.25};
-    config.trials = 8;
-    config.model.temporal = faulty::Temporal::kStuckAt;
-    config.guard.max_iterations = 5;  // trips long before SGD converges
-    config.guard.nonfinite_bailout = true;
+    campaign::CampaignSpec spec = testutil::FixedSpec({0.05, 0.25}, 8, 77);
+    spec.model.temporal = faulty::Temporal::kStuckAt;
+    spec.guard.max_iterations = 5;  // trips long before SGD converges
+    spec.guard.nonfinite_bailout = true;
     telemetry::ResetCounters();
-    harness::RunFaultRateSweep(config, {{"SGD+AS,SQS", SortTrial()}});
+    testutil::RunFixedGrid(spec, {{"SGD+AS,SQS", SortTrial()}}, threads);
     return telemetry::SnapshotCounters();
   };
   const telemetry::CounterSnapshot one = run(1);
@@ -507,7 +485,7 @@ TEST(Telemetry, WriteTraceEmitsBalancedChromeJson) {
   const std::string json = buffer.str();
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"sweep\""), std::string::npos);
+  EXPECT_NE(json.find("\"campaign\""), std::string::npos);
   EXPECT_NE(json.find("\"trial\""), std::string::npos);
   EXPECT_NE(json.find("\"solve.sgd\""), std::string::npos);
   EXPECT_NE(json.find("\"phase\""), std::string::npos);

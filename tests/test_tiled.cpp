@@ -7,7 +7,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,10 +15,9 @@
 #include "campaign/scenarios.h"
 #include "campaign/spec.h"
 #include "core/fault_env.h"
-#include "harness/csv.h"
-#include "harness/sweep.h"
 #include "linalg/lsq.h"
 #include "linalg/tiled.h"
+#include "tests/fixed_grid.h"
 
 namespace {
 
@@ -207,28 +205,22 @@ TEST(Tiled, SolveSeedChangesTheFaultStream) {
 TEST(Tiled, CampaignCsvBytesIndependentOfTileWorkers) {
   const campaign::CampaignSpec& spec = campaign::RegistrySpec("tiled_cholesky");
   const campaign::Scenario scenario = campaign::BuildScenario(spec);
-  harness::SweepConfig sweep = campaign::ToSweepConfig(spec);
-  sweep.fault_rates = {0.0, 1e-5, 1e-3};
-  sweep.trials = 2;
-  sweep.threads = 1;  // outer trial loop serial; the knob under test is inner
+  campaign::CampaignSpec grid = spec;
+  grid.fault_rates = {0.0, 1e-5, 1e-3};
+  grid.fixed_trials = 2;
 
   std::string reference;
   for (const int workers : {1, 2, 8}) {
     ::setenv("ROBUSTIFY_TILE_THREADS", std::to_string(workers).c_str(), 1);
-    const std::vector<harness::Series> series =
-        harness::RunFaultRateSweep(sweep, scenario.series);
-    const std::string path =
-        "tiled_csv_w" + std::to_string(workers) + ".csv";
-    harness::WriteSweepCsv(path, series);
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.good());
-    std::ostringstream bytes;
-    bytes << is.rdbuf();
+    // Outer trial loop serial; the knob under test is inner.
+    const std::string bytes = testutil::CsvBytes(
+        testutil::RunFixed(grid, scenario, 1).series,
+        "tiled_csv_w" + std::to_string(workers));
     if (workers == 1) {
-      reference = bytes.str();
+      reference = bytes;
       EXPECT_FALSE(reference.empty());
     } else {
-      EXPECT_EQ(bytes.str(), reference) << "workers=" << workers;
+      EXPECT_EQ(bytes, reference) << "workers=" << workers;
     }
   }
   ::unsetenv("ROBUSTIFY_TILE_THREADS");

@@ -9,6 +9,9 @@
 // survive the scope exit and keep forcing the same bit in the next call.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "core/fault_env.h"
 #include "faulty/fault_injector.h"
 #include "faulty/real.h"
@@ -33,28 +36,41 @@ core::FaultEnvironment StuckOpener(std::uint64_t seed) {
   return env;
 }
 
+// Runs once per injector strategy, each pinned (with the split RNG layout)
+// so the test holds on every ROBUSTIFY_INJECTOR / ROBUSTIFY_RNG leg.  The
+// strategies draw the opener's stuck bit from different LFSR words, so each
+// gets a seed whose stuck bit does not already hold its stuck value in
+// 1.25 + 2.5: skip-ahead seed 1 forces 3.25, per-op seed 2 forces 2.75.
 TEST(WindowCarry, StuckBitSurvivesConsecutiveScopesOfOneTrial) {
+  using Strategy = faulty::FaultInjector::Strategy;
   const double clean = 1.25 + 2.5;
-  core::FaultEnvironment opener = StuckOpener(1);
-  core::FaultEnvironment follower = opener;
-  follower.fault_rate = 0.0;  // cannot open (or re-arm) a window on its own
+  for (const auto& [strategy, seed] :
+       {std::pair<Strategy, std::uint64_t>{Strategy::kSkipAhead, 1},
+        std::pair<Strategy, std::uint64_t>{Strategy::kPerOp, 2}}) {
+    SCOPED_TRACE(strategy == Strategy::kPerOp ? "per-op" : "skip-ahead");
+    core::FaultEnvironment opener = StuckOpener(seed);
+    opener.strategy = strategy;
+    opener.rng = faulty::RngMode::kSplit;
+    core::FaultEnvironment follower = opener;
+    follower.fault_rate = 0.0;  // cannot open (or re-arm) a window on its own
 
-  core::TrialFaultScope trial;
-  faulty::ContextStats first_stats;
-  const double first = core::WithFaultyFpu(opener, FaultyAdd, &first_stats);
-  ASSERT_GE(first_stats.windows_opened, 1u);
-  ASSERT_EQ(first_stats.faults_injected, 1u);
+    core::TrialFaultScope trial;
+    faulty::ContextStats first_stats;
+    const double first = core::WithFaultyFpu(opener, FaultyAdd, &first_stats);
+    ASSERT_GE(first_stats.windows_opened, 1u);
+    ASSERT_EQ(first_stats.faults_injected, 1u);
 
-  faulty::ContextStats second_stats;
-  const double second = core::WithFaultyFpu(follower, FaultyAdd, &second_stats);
-  // The adopted window is not a new window, but its forcing still fires.
-  EXPECT_EQ(second_stats.windows_opened, 0u);
-  EXPECT_EQ(second_stats.faults_injected, 1u);
-  EXPECT_EQ(second_stats.faulty_flops, 1u);
-  // The same bit is forced to the same value in both kernel calls: the two
-  // results are bitwise equal (and, for this seed, visibly corrupted).
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first, clean);
+    faulty::ContextStats second_stats;
+    const double second = core::WithFaultyFpu(follower, FaultyAdd, &second_stats);
+    // The adopted window is not a new window, but its forcing still fires.
+    EXPECT_EQ(second_stats.windows_opened, 0u);
+    EXPECT_EQ(second_stats.faults_injected, 1u);
+    EXPECT_EQ(second_stats.faulty_flops, 1u);
+    // The same bit is forced to the same value in both kernel calls: the
+    // two results are bitwise equal, and visibly corrupted.
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first, clean);
+  }
 }
 
 TEST(WindowCarry, NoCarryOutsideATrialFaultScope) {
